@@ -1,19 +1,15 @@
-"""Live engine: row vs columnar ingest throughput + incremental scaling.
+"""Live engine: row-drain ingest throughput + incremental scaling.
 
-Three measurements back the `repro.live` design:
+Two measurements back the `repro.live` design:
 
-* **row vs columnar drain** — the same merged stream pushed through the
-  per-row path (`EventBus.events` + `update()`) and the columnar path
-  (`EventBus.event_batches` + `update_batch()`) at several batch sizes.
-  Engines are asserted state-identical before the timings are compared;
-  the headline number is the columnar speedup at batch size >= 512.
-  Batches are pre-packed so the timed region isolates the consume side;
-  pack time is reported separately (it is input materialization — a
-  real ingest packs while the previous chunk is being consumed).  Row
-  and columnar reps are interleaved so machine drift cancels instead of
-  biasing one side.
-* **ingest throughput** — full-corpus records/sec for both paths, in
-  ``results/BENCH_live_ingest.json``.
+* **ingest throughput** — records/sec of `LiveEngine.run` over one
+  pre-merged, in-memory replay source (`EventBus.events` + each
+  aggregator's `update()`), best of several reps, written to
+  ``results/BENCH_live_ingest.json``.  No collectors run inside the
+  timed region: the world is generated and collected once, sorted, and
+  replayed, so this times the bus and the aggregators alone.  For the
+  end-to-end drain (collector streams, bus merge, aggregators and
+  JSON checkpoints) run the ``live`` workload of ``perfbench/run.py``.
 * **incremental vs batch scaling** — after N records, applying Δ more
   is O(Δ) live but O(N) by rescan; the ratio must grow with N.
 
@@ -30,7 +26,6 @@ import pytest
 
 from repro.analysis import characterization as chz
 from repro.analysis import sequences
-from repro.collection.columnar import batch_records
 from repro.collection.store import Dataset
 from repro.live import EventBus, LiveEngine
 from repro.news.domains import NewsCategory
@@ -44,9 +39,7 @@ ALT = NewsCategory.ALTERNATIVE
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
-BATCH_SIZES = (64, 512, 4096)
-
-#: Interleaved reps per path; best-of cancels one-off machine noise.
+#: Reps of the drain; best-of cancels one-off machine noise.
 REPS = 2 if SMOKE else 5
 
 INGEST_CONFIG = (WorldConfig(seed=7, n_stories_alternative=120,
@@ -63,7 +56,6 @@ def _emit_bench_json():
     write_bench_json(_RESULTS, "BENCH_live_ingest.json", case={
         "smoke": SMOKE,
         "world_seed": INGEST_CONFIG.seed,
-        "batch_sizes": list(BATCH_SIZES),
         "reps": REPS,
     })
 
@@ -81,92 +73,38 @@ def _row_run(records):
     return engine
 
 
-def _columnar_run(batches, snapshots, batch_size):
-    # Restoring the pack-time cache snapshot inside the timed region
-    # drops consumer-derived caches from the previous rep, so every rep
-    # measures the same cold-consume work.
-    for batch, snapshot in zip(batches, snapshots):
-        batch._cache = dict(snapshot)
-    bus = EventBus()
-    bus.add_batch_source("replay", iter(batches))
-    engine = LiveEngine(bus, summary_every=0, batch_size=batch_size)
-    engine.run()
-    return engine
-
-
 def _timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
 
 
-def test_live_ingest_row_vs_columnar(benchmark, live_records, save_result):
+def test_live_ingest_row(benchmark, live_records, save_result):
     records = live_records
     n = len(records)
 
-    packed = {}
-    for batch_size in BATCH_SIZES:
-        start = time.perf_counter()
-        batches = list(batch_records(records, batch_size))
-        pack_seconds = time.perf_counter() - start
-        snapshots = [dict(batch._cache) for batch in batches]
-        packed[batch_size] = (batches, snapshots, pack_seconds)
-
-    # One row rep rides the benchmark fixture so the run is visible to
-    # pytest-benchmark's own reporting; the rest interleave manually.
-    row_engine, best_row = benchmark.pedantic(
+    # One rep rides the benchmark fixture so the run is visible to
+    # pytest-benchmark's own reporting; the rest run manually.
+    _, best = benchmark.pedantic(
         _timed, args=(_row_run, records), rounds=1, iterations=1)
-    reference = row_engine.state_dict()
-    best_col = dict.fromkeys(BATCH_SIZES, float("inf"))
-    for rep in range(REPS):
-        if rep:
-            _, elapsed = _timed(_row_run, records)
-            best_row = min(best_row, elapsed)
-        for batch_size in BATCH_SIZES:
-            batches, snapshots, _ = packed[batch_size]
-            engine, elapsed = _timed(
-                _columnar_run, batches, snapshots, batch_size)
-            best_col[batch_size] = min(best_col[batch_size], elapsed)
-            if rep == 0:
-                # Both drains must agree exactly — values and key
-                # order — before their timings are comparable.
-                assert engine.state_dict() == reference
+    for _ in range(REPS - 1):
+        _, elapsed = _timed(_row_run, records)
+        best = min(best, elapsed)
 
     _RESULTS["row"] = {
-        "ops_per_sec": n / best_row,
-        "mean_seconds": best_row / n,
-        "wall_seconds": best_row,
+        "ops_per_sec": n / best,
+        "mean_seconds": best / n,
+        "wall_seconds": best,
         "records": n,
     }
-    rows = [["row", "-", f"{n / best_row:,.0f}", "-", "1.00x"]]
-    for batch_size in BATCH_SIZES:
-        _, _, pack_seconds = packed[batch_size]
-        elapsed = best_col[batch_size]
-        speedup = best_row / elapsed
-        _RESULTS[f"columnar/{batch_size}"] = {
-            "ops_per_sec": n / elapsed,
-            "mean_seconds": elapsed / n,
-            "wall_seconds": elapsed,
-            "records": n,
-            "pack_seconds": pack_seconds,
-            "speedup_vs_row": speedup,
-        }
-        rows.append(["columnar", str(batch_size), f"{n / elapsed:,.0f}",
-                     f"{1000 * pack_seconds:.1f}", f"{speedup:.2f}x"])
-
     table = render_table(
-        ["Path", "Batch", "records/sec", "pack (ms)", "speedup"],
-        rows, title=f"Live ingest: row vs columnar drain, {n} records"
-                    f"{' (smoke)' if SMOKE else ''}")
+        ["Path", "records/sec", "wall (s)"],
+        [["row", f"{n / best:,.0f}", f"{best:.3f}"]],
+        title=f"Live ingest: in-memory replay drain, {n} records"
+              f"{' (smoke)' if SMOKE else ''}")
     save_result("live_ingest_throughput.txt", table)
     print()
     print(table)
-
-    # The acceptance bar: >= 3x records/sec at batch size >= 512.  The
-    # smoke world is too small to hold the full-corpus margin, so CI
-    # only checks that the columnar path wins at all.
-    assert _RESULTS["columnar/512"]["speedup_vs_row"] > (1.0 if SMOKE
-                                                         else 3.0)
 
 
 def _batch_answers(records):

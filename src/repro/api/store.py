@@ -56,15 +56,6 @@ def _frame_object(data: bytes) -> bytes:
     return OBJECT_MAGIC + sha + b"\n" + data
 
 
-def frame_bytes(data: bytes) -> bytes:
-    """Public alias of the store's sha256 object framing.
-
-    Other subsystems (live checkpoints) reuse the same frame so every
-    binary artifact on disk self-verifies the same way.
-    """
-    return _frame_object(data)
-
-
 class CorruptObjectError(ValueError):
     """A stored object failed its integrity check."""
 
@@ -85,11 +76,6 @@ def _unframe_object(blob: bytes) -> bytes:
             f"object digest mismatch (stored {expected.decode()!r}, "
             f"actual {actual.decode()!r})")
     return data
-
-
-def unframe_bytes(blob: bytes) -> bytes:
-    """Public alias of :func:`frame_bytes`'s verified inverse."""
-    return _unframe_object(blob)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         LiveEngine,
         RefitPolicy,
         WindowedHawkesRefitter,
-        jsonl_batch_source,
         jsonl_source,
     )
     from .news.domains import NewsCategory
@@ -192,14 +191,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         print(f"scenario {scenario.scenario_id} "
               f"(K={scenario.k}: {', '.join(scenario.ecosystem.processes)})")
     ecosystem = scenario.ecosystem if scenario is not None else None
-    supervised = (args.chaos_seed is not None
-                  or args.quarantine is not None)
-    # Replay straight from JSONL as column chunks when nothing needs
-    # per-row supervision; supervised sources stay row streams (the
-    # quarantine inspects individual records) and the bus re-packs
-    # them for the columnar drain.
-    batch_replay = (args.replay and not supervised
-                    and args.batch_size is not None)
     if args.replay:
         factories = []
         taken: set[str] = set()
@@ -208,12 +199,7 @@ def cmd_live(args: argparse.Namespace) -> int:
             if name in taken:
                 name = f"{name}#{i}"
             taken.add(name)
-            if batch_replay:
-                factories.append(
-                    (name, lambda p=path: jsonl_batch_source(
-                        p, batch_size=args.batch_size)))
-            else:
-                factories.append((name, lambda p=path: jsonl_source(p)))
+            factories.append((name, lambda p=path: jsonl_source(p)))
     else:
         from .pipeline import stream_source_factories
         from .synthesis.world import build_world
@@ -223,7 +209,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         world = build_world(config)
         factories = stream_source_factories(world, stream_seed=args.seed)
     quarantine = None
-    if supervised:
+    if args.chaos_seed is not None or args.quarantine is not None:
         # Supervised ingest: transient faults restart the source with
         # deterministic replay; malformed records go to the quarantine
         # sidecar instead of killing the run.  --chaos-seed injects a
@@ -241,12 +227,7 @@ def cmd_live(args: argparse.Namespace) -> int:
                 name, factory, quarantine=quarantine)))
     else:
         sources = [(name, factory()) for name, factory in factories]
-    if batch_replay:
-        bus = EventBus()
-        for name, batches in sources:
-            bus.add_batch_source(name, batches)
-    else:
-        bus = EventBus(sources)
+    bus = EventBus(sources)
     refitter = None
     if not args.skip_refit:
         refitter = WindowedHawkesRefitter(
@@ -269,9 +250,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         summary_every=args.summary_every,
         publish_store=publish_store,
-        ecosystem=ecosystem,
-        batch_size=args.batch_size,
-        checkpoint_format=args.checkpoint_format)
+        ecosystem=ecosystem)
     if args.resume and Path(args.checkpoint).exists():
         engine.restore()
         print(f"resumed at {engine.records_seen} records "
@@ -529,15 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--checkpoint", default=None,
                       help="checkpoint file (JSON)")
     live.add_argument("--checkpoint-every", type=int, default=20000)
-    live.add_argument("--checkpoint-format", default="json",
-                      choices=("json", "binary"),
-                      help="checkpoint encoding: human-readable JSON or "
-                           "compact npz inside the store's sha256 frame "
-                           "(restore reads either)")
-    live.add_argument("--batch-size", type=int, default=None, metavar="N",
-                      help="drain the bus as columnar chunks of N records "
-                           "(vectorized aggregators, same results as the "
-                           "default per-row drain)")
     live.add_argument("--resume", action="store_true",
                       help="restore from --checkpoint before streaming")
     live.add_argument("--skip-refit", action="store_true")

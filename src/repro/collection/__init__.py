@@ -8,7 +8,6 @@ recovers engagement counts for still-available tweets.
 """
 
 from .anonymize import AnonymizationKey, anonymize_dataset
-from .columnar import RecordBatch, batch_records
 from .store import Dataset, DatasetRecord, UrlOccurrence, iter_jsonl
 from .streaming import TwitterStreamCollector
 from .crawlers import FourchanCrawler, GenericCollector, RedditDumpReader
@@ -19,9 +18,7 @@ __all__ = [
     "anonymize_dataset",
     "Dataset",
     "DatasetRecord",
-    "RecordBatch",
     "UrlOccurrence",
-    "batch_records",
     "iter_jsonl",
     "TwitterStreamCollector",
     "FourchanCrawler",

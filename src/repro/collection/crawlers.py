@@ -19,7 +19,6 @@ from ..platforms.fourchan import FourchanPlatform
 from ..platforms.generic import GenericPlatform
 from ..platforms.reddit import RedditPlatform
 from ..timeutil import Interval, in_any_interval
-from .columnar import RecordBatch, batch_records
 from .store import Dataset, DatasetRecord, UrlOccurrence
 
 
@@ -47,11 +46,6 @@ class GenericCollector:
                     for u in news_urls
                 ),
             )
-
-    def stream_batches(self, platform: GenericPlatform,
-                       batch_size: int = 512) -> Iterator[RecordBatch]:
-        """:meth:`stream` packed into timestamp-ordered column chunks."""
-        return batch_records(self.stream(platform), batch_size)
 
     def collect(self, platform: GenericPlatform) -> Dataset:
         return Dataset(self.stream(platform))
@@ -85,11 +79,6 @@ class RedditDumpReader:
                     for u in news_urls
                 ),
             )
-
-    def stream_batches(self, platform: RedditPlatform,
-                       batch_size: int = 512) -> Iterator[RecordBatch]:
-        """:meth:`stream` packed into timestamp-ordered column chunks."""
-        return batch_records(self.stream(platform), batch_size)
 
     def collect(self, platform: RedditPlatform) -> Dataset:
         return Dataset(self.stream(platform))
@@ -152,12 +141,6 @@ class FourchanCrawler:
                     for u in news_urls
                 ),
             )
-
-    def stream_batches(self, platform: FourchanPlatform,
-                       boards: Sequence[str] | None = None,
-                       batch_size: int = 512) -> Iterator[RecordBatch]:
-        """:meth:`stream` packed into timestamp-ordered column chunks."""
-        return batch_records(self.stream(platform, boards), batch_size)
 
     def collect(self, platform: FourchanPlatform,
                 boards: Sequence[str] | None = None) -> Dataset:

@@ -13,10 +13,7 @@ import logging
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - circular at runtime
-    from .columnar import RecordBatch
+from typing import Callable, Iterable, Iterator
 
 from ..news.domains import NewsCategory
 
@@ -237,8 +234,7 @@ def _iter_jsonl_rows(path: Path, on_malformed: str,
 
 def iter_jsonl(path: str | Path, *,
                on_malformed: str = "raise",
-               batch_size: int | None = None,
-               ) -> "Iterator[DatasetRecord] | Iterator[RecordBatch]":
+               ) -> Iterator[DatasetRecord]:
     """Stream records from a JSONL file one line at a time.
 
     Never materializes the whole file; usable directly as an event-bus
@@ -256,19 +252,9 @@ def iter_jsonl(path: str | Path, *,
       the file's shard family: ``tweets-00017`` counts as ``tweets``),
       and continue with the next.
 
-    With ``batch_size=N`` the same validated stream is packed into
-    columnar :class:`~repro.collection.columnar.RecordBatch` chunks of
-    up to ``N`` records each (the last may be shorter); malformed
-    handling is identical because packing happens downstream of the
-    per-line validation above.
+    An unknown ``on_malformed`` raises here, before the file is read.
     """
     if on_malformed not in ("raise", "skip"):
         raise ValueError(f"on_malformed must be 'raise' or 'skip', "
                          f"not {on_malformed!r}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, not {batch_size}")
-    rows = _iter_jsonl_rows(Path(path), on_malformed)
-    if batch_size is None:
-        return rows
-    from .columnar import batch_records  # circular at module load
-    return batch_records(rows, batch_size)
+    return _iter_jsonl_rows(Path(path), on_malformed)

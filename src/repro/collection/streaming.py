@@ -18,7 +18,6 @@ from ..news.classify import extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
 from ..platforms.twitter import TwitterPlatform
 from ..timeutil import Interval, in_any_interval
-from .columnar import RecordBatch, batch_records
 from .store import Dataset, DatasetRecord, UrlOccurrence
 
 
@@ -69,11 +68,6 @@ class TwitterStreamCollector:
                     for u in news_urls
                 ),
             )
-
-    def stream_batches(self, platform: TwitterPlatform,
-                       batch_size: int = 512) -> Iterator[RecordBatch]:
-        """:meth:`stream` packed into timestamp-ordered column chunks."""
-        return batch_records(self.stream(platform), batch_size)
 
     def collect(self, platform: TwitterPlatform) -> Dataset:
         """Stream the platform's tweets into a dataset."""

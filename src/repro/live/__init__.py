@@ -9,12 +9,6 @@ domain fractions (Fig. 2 / Tables 5-7), URL appearance counts (Fig. 1),
 cross-platform first hops (Tables 9-10), and per-URL cascades for the
 Hawkes influence estimator — incrementally, in O(Δ) per record, with
 checkpoint/restore and sliding-window influence refits.
-
-Sources come in two granularities: per-row generators (``*_source``)
-and columnar :class:`~repro.collection.columnar.RecordBatch` streams
-(``*_batch_source`` + ``EventBus.add_batch_source``), which the engine
-drains with vectorized aggregator updates for the same results at a
-multiple of the row-path throughput.
 """
 
 from .aggregators import (
@@ -23,13 +17,7 @@ from .aggregators import (
     FirstHopAggregator,
     UrlAppearanceAggregator,
 )
-from .bus import (
-    EventBus,
-    dataset_batch_source,
-    dataset_source,
-    jsonl_batch_source,
-    jsonl_source,
-)
+from .bus import EventBus, dataset_source, jsonl_source
 from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import LiveEngine, RollingSummary
 from .refit import RefitPolicy, WindowedHawkesRefitter
@@ -40,9 +28,7 @@ __all__ = [
     "FirstHopAggregator",
     "UrlAppearanceAggregator",
     "EventBus",
-    "dataset_batch_source",
     "dataset_source",
-    "jsonl_batch_source",
     "jsonl_source",
     "load_checkpoint",
     "save_checkpoint",

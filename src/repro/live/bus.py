@@ -7,17 +7,8 @@ that: each source is a plain iterator of
 ordered, which every collector's ``stream()`` guarantees), and the bus
 k-way merges them into one globally ordered stream with a bounded
 heap — O(log S) per record for S sources, never materializing a feed.
-
-Two drain modes share the same sources and the same total order:
-
-* :meth:`EventBus.events` — the per-row merge, one heap op per record;
-* :meth:`EventBus.event_batches` — the columnar merge: sources are
-  chunked into :class:`~repro.collection.columnar.RecordBatch` columns
-  and the heap holds one *chunk head* per source, splicing whole
-  timestamp runs out of the leading chunk with one ``searchsorted``
-  per heap rotation.  Flattening its output reproduces
-  :meth:`~EventBus.events` exactly, including tie-break order (ties go
-  to source registration order, then arrival order within a source).
+A source that steps back in time raises ``ValueError`` instead of being
+silently reordered.
 """
 
 from __future__ import annotations
@@ -26,9 +17,6 @@ import heapq
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from ..collection.columnar import RecordBatch, batch_records
 from ..collection.store import Dataset, DatasetRecord, iter_jsonl
 from ..obs import get_registry
 
@@ -36,45 +24,27 @@ from ..obs import get_registry
 Source = tuple[str, Iterator[DatasetRecord]]
 
 
-def _flatten(batches: Iterator[RecordBatch]) -> Iterator[DatasetRecord]:
-    """Row view of a batch stream (the batch-of-1 compatibility shim)."""
-    for batch in batches:
-        yield from batch.iter_records()
-
-
 class EventBus:
     """Merges named record sources into one timestamp-ordered stream.
 
     Ties are broken by source registration order, then by arrival order
-    within the source, so the merge is fully deterministic.  Sources
-    may be row iterators (:meth:`add_source`) or columnar batch
-    iterators (:meth:`add_batch_source`); either drain mode accepts
-    both kinds.
+    within the source, so the merge is fully deterministic.
     """
 
     def __init__(self, sources: Iterable[Source] = ()) -> None:
-        #: (name, iterator, kind) with kind in {"rows", "batches"}.
-        self._sources: list[tuple[str, Iterator, str]] = []
+        self._sources: list[Source] = []
         for name, iterator in sources:
             self.add_source(name, iterator)
 
-    def _add(self, name: str, iterator: Iterator, kind: str) -> None:
-        if any(existing == name for existing, _, _ in self._sources):
-            raise ValueError(f"duplicate source name {name!r}")
-        self._sources.append((name, iterator, kind))
-
     def add_source(self, name: str,
                    records: Iterable[DatasetRecord]) -> None:
-        self._add(name, iter(records), "rows")
-
-    def add_batch_source(self, name: str,
-                         batches: Iterable[RecordBatch]) -> None:
-        """Register a feed that already arrives as columnar chunks."""
-        self._add(name, iter(batches), "batches")
+        if any(existing == name for existing, _ in self._sources):
+            raise ValueError(f"duplicate source name {name!r}")
+        self._sources.append((name, iter(records)))
 
     @property
     def source_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self._sources)
+        return tuple(name for name, _ in self._sources)
 
     def __iter__(self) -> Iterator[DatasetRecord]:
         for _, record in self.events():
@@ -87,9 +57,7 @@ class EventBus:
             "Sources currently alive in the k-way merge heap.")
         heap: list[tuple[float, int, int, DatasetRecord, str,
                          Iterator[DatasetRecord]]] = []
-        for index, (name, iterator, kind) in enumerate(self._sources):
-            if kind == "batches":
-                iterator = _flatten(iterator)
+        for index, (name, iterator) in enumerate(self._sources):
             record = next(iterator, None)
             if record is not None:
                 heapq.heappush(
@@ -108,89 +76,6 @@ class EventBus:
                 heapq.heappush(
                     heap, (following.created_at, index, seq + 1, following,
                            name, iterator))
-            else:  # a source ran dry: the merge narrowed
-                depth.set(len(heap))
-
-    # -- columnar drain ------------------------------------------------------
-
-    def event_batches(self, batch_size: int = 512,
-                      ) -> Iterator[tuple[str, RecordBatch]]:
-        """Yield ``(source name, chunk)`` covering the merged stream.
-
-        Concatenating the chunks' records reproduces :meth:`events`
-        record-for-record.  Each heap rotation splices the longest
-        prefix of the leading source's chunk that sorts ahead of every
-        other source's head — one ``searchsorted`` instead of one heap
-        op per record — so a lone source streams through in whole
-        chunks and S interleaved sources degrade gracefully toward the
-        row merge.
-        """
-        depth = get_registry().gauge(
-            "repro_live_merge_depth",
-            "Sources currently alive in the k-way merge heap.")
-
-        def pull(stream: Iterator[RecordBatch], name: str,
-                 tail: float) -> "RecordBatch | None":
-            """Next non-empty chunk, order-validated against ``tail``."""
-            for chunk in stream:
-                if not len(chunk):
-                    continue
-                times = chunk.created_at
-                if float(times[0]) < tail:
-                    raise ValueError(
-                        f"source {name!r} is not timestamp-ordered: "
-                        f"{float(times[0])} after {tail}")
-                steps = np.diff(times)
-                if len(steps) and float(steps.min()) < 0:
-                    at = int(np.argmax(steps < 0))
-                    raise ValueError(
-                        f"source {name!r} is not timestamp-ordered: "
-                        f"{float(times[at + 1])} after {float(times[at])}")
-                return chunk
-            return None
-
-        # Heap entries: (head time, source index, seq, chunk, name,
-        # stream).  One entry per source, so (time, index) is unique
-        # and the seq counter only guards against ever comparing chunks.
-        heap: list = []
-        seq = 0
-        for index, (name, iterator, kind) in enumerate(self._sources):
-            stream = (iterator if kind == "batches"
-                      else batch_records(iterator, batch_size))
-            chunk = pull(stream, name, -np.inf)
-            if chunk is not None:
-                heapq.heappush(
-                    heap, (float(chunk.created_at[0]), index, seq, chunk,
-                           name, stream))
-                seq += 1
-        depth.set(len(heap))
-        while heap:
-            when, index, _, chunk, name, stream = heapq.heappop(heap)
-            times = chunk.created_at
-            if not heap:
-                cut = len(chunk)
-            else:
-                # The run that sorts ahead of the next-best head: ties
-                # go to the lower source index, exactly as the row
-                # merge's (time, index, seq) heap key breaks them.
-                head, index2 = heap[0][0], heap[0][1]
-                side = "right" if index < index2 else "left"
-                cut = int(np.searchsorted(times, head, side=side))
-            yield name, (chunk if cut == len(chunk)
-                         else chunk.slice(0, cut))
-            if cut < len(chunk):
-                rest = chunk.slice(cut, len(chunk))
-                heapq.heappush(
-                    heap, (float(rest.created_at[0]), index, seq, rest,
-                           name, stream))
-                seq += 1
-                continue
-            following = pull(stream, name, float(times[-1]))
-            if following is not None:
-                heapq.heappush(
-                    heap, (float(following.created_at[0]), index, seq,
-                           following, name, stream))
-                seq += 1
             else:  # a source ran dry: the merge narrowed
                 depth.set(len(heap))
 
@@ -213,16 +98,3 @@ def jsonl_source(path: str | Path) -> Iterator[DatasetRecord]:
     without loading the file into memory.
     """
     return iter_jsonl(path)
-
-
-def dataset_batch_source(dataset: Dataset | Iterable[DatasetRecord],
-                         batch_size: int = 512,
-                         ) -> Iterator[RecordBatch]:
-    """Replay an in-memory dataset as timestamp-ordered column chunks."""
-    return batch_records(dataset_source(dataset), batch_size)
-
-
-def jsonl_batch_source(path: str | Path, batch_size: int = 512,
-                       ) -> Iterator[RecordBatch]:
-    """Replay a saved JSONL dataset as validated column chunks."""
-    return iter_jsonl(path, batch_size=batch_size)

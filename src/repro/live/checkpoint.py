@@ -1,205 +1,37 @@
 """Checkpoint/restore for the live engine.
 
-A checkpoint holds every aggregator's ``state_dict()`` plus the
-engine's stream-position counters, in one of two on-disk formats:
-
-* ``json`` (the default): one JSON document — human-inspectable, and
-  what the chaos-equivalence pin diffs byte-for-byte.
-* ``binary``: the bulky aggregator states packed as NumPy arrays in an
-  ``.npz`` archive (keys/counts columns for the counters, CSR layouts
-  for first-hops and cascades), wrapped in the ArtifactStore's
-  sha256-verified object frame.  Small irregular state (stream
-  counters, the refitter) rides along as an embedded JSON member.
-
-``load_checkpoint`` sniffs the format from the file's leading bytes,
-so the two formats are interchangeable at read time and a restored
-engine cannot tell which one it was saved in — array order preserves
-dict key order exactly, including ``Counter.most_common`` tie-breaks.
-
-Writing goes through a temp file + atomic rename so a crash mid-write
-never leaves a truncated checkpoint, and a restarted engine restored
-from the file continues mid-stream as if it had never stopped.
+A checkpoint is a single JSON document holding every aggregator's
+``state_dict()`` plus the engine's stream-position counters.  Writing
+goes through a temp file + atomic rename so a crash mid-write never
+leaves a truncated checkpoint, and a restarted engine restored from the
+file continues mid-stream as if it had never stopped.  Non-finite
+values are rejected at write time, and a file stamped with any other
+``CHECKPOINT_VERSION`` is rejected at read time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 #: Format marker so later schema changes can migrate or reject cleanly.
 CHECKPOINT_VERSION = 1
 
-#: The aggregator states save_checkpoint packs as arrays; anything else
-#: in the state dict travels in the embedded JSON manifest unchanged.
-_PACKED_KEYS = ("domains", "appearances", "first_hops", "cascades")
 
-
-def _str_column(values: list) -> np.ndarray:
-    """A unicode array even when ``values`` is empty."""
-    if not values:
-        return np.empty(0, dtype="U1")
-    return np.array(values)
-
-
-def _finite_column(values: list, what: str) -> np.ndarray:
-    """A float column, rejecting NaN/Inf like the JSON path does."""
-    column = np.asarray(values, dtype=np.float64)
-    if len(column) and not np.isfinite(column).all():
-        raise ValueError(f"non-finite value in checkpoint {what}")
-    return column
-
-
-def _pack_state(state: dict) -> "tuple[dict, dict[str, np.ndarray]]":
-    """Split a state dict into a JSON manifest + named array columns."""
-    manifest = {key: value for key, value in state.items()
-                if key not in _PACKED_KEYS}
-    arrays: dict[str, np.ndarray] = {}
-
-    for agg in ("domains", "appearances"):
-        if agg not in state:
-            continue
-        layout = []
-        for i, (name, per_category) in enumerate(state[agg].items()):
-            layout.append({"slice": name,
-                           "categories": list(per_category)})
-            for j, counter in enumerate(per_category.values()):
-                arrays[f"{agg}/{i}/{j}/keys"] = _str_column(list(counter))
-                arrays[f"{agg}/{i}/{j}/counts"] = np.fromiter(
-                    counter.values(), dtype=np.int64, count=len(counter))
-        manifest[f"__{agg}__"] = layout
-
-    if "first_hops" in state:
-        layout = []
-        for j, (value, firsts) in enumerate(state["first_hops"].items()):
-            layout.append(value)
-            offsets = [0]
-            slices: list[str] = []
-            times: list[float] = []
-            for platform_firsts in firsts.values():
-                slices.extend(platform_firsts)
-                times.extend(platform_firsts.values())
-                offsets.append(len(slices))
-            arrays[f"first_hops/{j}/urls"] = _str_column(list(firsts))
-            arrays[f"first_hops/{j}/offsets"] = np.asarray(
-                offsets, dtype=np.int64)
-            arrays[f"first_hops/{j}/slices"] = _str_column(slices)
-            arrays[f"first_hops/{j}/times"] = _finite_column(
-                times, "first_hops")
-        manifest["__first_hops__"] = layout
-
-    if "cascades" in state:
-        events = state["cascades"]["events"]
-        offsets = [0]
-        times: list[float] = []
-        procs: list[str] = []
-        for per_url in events.values():
-            for when, process in per_url:
-                times.append(when)
-                procs.append(process)
-            offsets.append(len(times))
-        arrays["cascades/urls"] = _str_column(list(events))
-        arrays["cascades/offsets"] = np.asarray(offsets, dtype=np.int64)
-        arrays["cascades/times"] = _finite_column(times, "cascades")
-        arrays["cascades/procs"] = _str_column(procs)
-        categories = state["cascades"]["categories"]
-        arrays["cascades/cat_urls"] = _str_column(list(categories))
-        arrays["cascades/cat_values"] = _str_column(
-            list(categories.values()))
-        manifest["__cascades__"] = True
-
-    return manifest, arrays
-
-
-def _unpack_state(manifest: dict, arrays) -> dict:
-    """Inverse of :func:`_pack_state`; dict key order comes from the
-    arrays, so the result is exactly the dict the JSON path loads."""
-    state = {key: value for key, value in manifest.items()
-             if not (key.startswith("__") and key.endswith("__"))}
-
-    for agg in ("domains", "appearances"):
-        layout = manifest.get(f"__{agg}__")
-        if layout is None:
-            continue
-        state[agg] = {
-            entry["slice"]: {
-                value: dict(zip(arrays[f"{agg}/{i}/{j}/keys"].tolist(),
-                                arrays[f"{agg}/{i}/{j}/counts"].tolist()))
-                for j, value in enumerate(entry["categories"])
-            }
-            for i, entry in enumerate(layout)
-        }
-
-    layout = manifest.get("__first_hops__")
-    if layout is not None:
-        first_hops = {}
-        for j, value in enumerate(layout):
-            urls = arrays[f"first_hops/{j}/urls"].tolist()
-            offsets = arrays[f"first_hops/{j}/offsets"].tolist()
-            slices = arrays[f"first_hops/{j}/slices"].tolist()
-            times = arrays[f"first_hops/{j}/times"].tolist()
-            first_hops[value] = {
-                url: dict(zip(slices[lo:hi], times[lo:hi]))
-                for url, lo, hi in zip(urls, offsets, offsets[1:])
-            }
-        state["first_hops"] = first_hops
-
-    if manifest.get("__cascades__"):
-        urls = arrays["cascades/urls"].tolist()
-        offsets = arrays["cascades/offsets"].tolist()
-        times = arrays["cascades/times"].tolist()
-        procs = arrays["cascades/procs"].tolist()
-        state["cascades"] = {
-            "events": {
-                url: [[t, name] for t, name in
-                      zip(times[lo:hi], procs[lo:hi])]
-                for url, lo, hi in zip(urls, offsets, offsets[1:])
-            },
-            "categories": dict(zip(
-                arrays["cascades/cat_urls"].tolist(),
-                arrays["cascades/cat_values"].tolist())),
-        }
-
-    return state
-
-
-def _binary_blob(state: dict) -> bytes:
-    from ..api.store import frame_bytes  # lazy: api pulls in serving deps
-    manifest, arrays = _pack_state(state)
-    manifest_bytes = json.dumps(
-        {"version": CHECKPOINT_VERSION, "state": manifest},
-        allow_nan=False).encode("utf-8")
-    arrays["__manifest__"] = np.frombuffer(manifest_bytes, dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    return frame_bytes(buffer.getvalue())
-
-
-def save_checkpoint(path: str | Path, state: dict, *,
-                    fmt: str = "json") -> Path:
-    """Atomically write an engine state dict (``fmt``: json|binary)."""
-    if fmt not in ("json", "binary"):
-        raise ValueError(f"unknown checkpoint format {fmt!r}")
+def save_checkpoint(path: str | Path, state: dict) -> Path:
+    """Atomically write an engine state dict as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {"version": CHECKPOINT_VERSION, "state": state}
     tmp = path.with_name(path.name + ".tmp")
     try:
-        if fmt == "binary":
-            blob = _binary_blob(state)
-            with tmp.open("wb") as handle:
-                handle.write(blob)
-        else:
-            payload = {"version": CHECKPOINT_VERSION, "state": state}
-            with tmp.open("w", encoding="utf-8") as handle:
-                # allow_nan=False: a NaN/Inf smuggled into aggregator
-                # state would otherwise serialize as non-standard JSON
-                # that other parsers (and our own strict loads) reject —
-                # fail at write time, while the previous good checkpoint
-                # is still intact.
-                json.dump(payload, handle, allow_nan=False)
+        with tmp.open("w", encoding="utf-8") as handle:
+            # allow_nan=False: a NaN/Inf smuggled into aggregator state
+            # would otherwise serialize as non-standard JSON that other
+            # parsers (and our own strict loads) reject — fail at write
+            # time, while the previous good checkpoint is still intact.
+            json.dump(payload, handle, allow_nan=False)
     except ValueError:
         tmp.unlink(missing_ok=True)
         raise
@@ -208,21 +40,9 @@ def save_checkpoint(path: str | Path, state: dict, *,
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint back, sniffing json vs binary from the bytes."""
-    from ..api.store import OBJECT_MAGIC, unframe_bytes
-    raw = Path(path).read_bytes()
-    if raw.startswith(OBJECT_MAGIC):
-        data = unframe_bytes(raw)
-        with np.load(io.BytesIO(data)) as arrays:
-            manifest_bytes = bytes(arrays["__manifest__"].tobytes())
-            payload = json.loads(manifest_bytes.decode("utf-8"))
-            version = payload.get("version")
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint version {version!r} "
-                    f"(expected {CHECKPOINT_VERSION})")
-            return _unpack_state(payload["state"], arrays)
-    payload = json.loads(raw.decode("utf-8"))
+    """Read a checkpoint back into an engine state dict."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        payload = json.load(handle)
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(

@@ -63,17 +63,8 @@ class LiveEngine:
                  publish_store=None,
                  registry=None,
                  ecosystem: Ecosystem | None = None,
-                 batch_size: int | None = None,
-                 checkpoint_format: str = "json",
                  ) -> None:
         self.bus = bus if bus is not None else EventBus()
-        #: None = per-row drain; an int switches run() to the columnar
-        #: drain (bus.event_batches) with chunks of this many records.
-        #: Both drains leave bit-identical engine state.
-        self.batch_size = batch_size
-        #: "json" or "binary" (npz inside the sha256 object frame); see
-        #: repro.live.checkpoint.  Either is readable by restore().
-        self.checkpoint_format = checkpoint_format
         self.refitter = refitter
         #: Optional K-platform ecosystem; when set, every aggregator is
         #: built over its slices/processes instead of the paper's fixed
@@ -112,7 +103,6 @@ class LiveEngine:
         #: handles are cached so the per-record cost is one method call.
         self.metrics = registry if registry is not None else get_registry()
         self._record_counters: dict = {}
-        self._batch_histogram = None
         self._wall_start: float | None = None
         self._wall_base = 0
         #: Records run() must skip to reach the stream position of a
@@ -122,9 +112,6 @@ class LiveEngine:
         #: continue the same iterator, so records a previous call pulled
         #: into the merge heap are never dropped.
         self._events: Iterator | None = None
-        #: Unconsumed tail of a chunk a limit= stopped mid-batch, as
-        #: (source, RecordBatch); the next run() drains it first.
-        self._pending: "tuple[str, object] | None" = None
 
     # -- ingestion ----------------------------------------------------------
 
@@ -145,39 +132,6 @@ class LiveEngine:
         self.first_hops.update(record)
         self.cascades.update(record)
 
-    def process_batch(self, batch, source: str = "replay") -> None:
-        """Apply one timestamp-ordered column chunk to every aggregator.
-
-        Equivalent to calling :meth:`process` on each of the chunk's
-        records, but bookkeeping (counts, metrics, stream clock) is
-        amortized to one update per chunk and the aggregators take
-        their vectorized ``update_batch`` paths.
-        """
-        n = len(batch)
-        if not n:
-            return
-        self.records_seen += n
-        self.by_source[source] += n
-        counter = self._record_counters.get(source)
-        if counter is None:
-            counter = self._record_counters[source] = self.metrics.counter(
-                "repro_live_records_total",
-                "Records processed by the live engine.", source=source)
-        counter.inc(n)
-        last = float(batch.created_at[n - 1])
-        if last > self.stream_time:
-            self.stream_time = last
-        self.domains.update_batch(batch)
-        self.appearances.update_batch(batch)
-        self.first_hops.update_batch(batch)
-        self.cascades.update_batch(batch)
-        histogram = self._batch_histogram
-        if histogram is None:
-            histogram = self._batch_histogram = self.metrics.histogram(
-                "repro_live_batch_records",
-                "Records per columnar chunk fed to the aggregators.")
-        histogram.observe(n)
-
     def run(self, limit: int | None = None) -> int:
         """Drain the bus (up to ``limit`` new records); returns records read.
 
@@ -189,10 +143,7 @@ class LiveEngine:
         if self._wall_start is None:
             self._wall_start = perf_counter()
             self._wall_base = self.records_seen
-        if self.batch_size is not None:
-            consumed = self._run_batches(limit)
-        else:
-            consumed = self._run_rows(limit)
+        consumed = self._run_rows(limit)
         if self.checkpoint_path is not None and consumed:
             self.checkpoint()
         if consumed:
@@ -225,80 +176,6 @@ class LiveEngine:
                     and self.records_seen % self.checkpoint_every == 0):
                 self.checkpoint()
         return consumed
-
-    def _run_batches(self, limit: int | None) -> int:
-        """The columnar drain: whole chunks in, row-path cadence out.
-
-        Chunks are split at every record count where the row loop would
-        fire a side effect — summary multiples, refit due points,
-        checkpoint multiples — and the side effects run in the row
-        loop's order (summary, refit, checkpoint), so summaries, refit
-        RNG streams, and checkpoints land at identical stream positions.
-        """
-        if self._events is None:
-            self._events = self.bus.event_batches(self.batch_size)
-        events = self._events
-        consumed = 0
-        while limit is None or consumed < limit:
-            if self._pending is not None:
-                source, chunk = self._pending
-                self._pending = None
-            else:
-                item = next(events, None)
-                if item is None:
-                    break
-                source, chunk = item
-            if self._replay_skip > 0:
-                skip = min(self._replay_skip, len(chunk))
-                self._replay_skip -= skip
-                if skip == len(chunk):
-                    continue
-                chunk = chunk.slice(skip, len(chunk))
-            if limit is not None and len(chunk) > limit - consumed:
-                keep = limit - consumed
-                self._pending = (source, chunk.slice(keep, len(chunk)))
-                chunk = chunk.slice(0, keep)
-            n = len(chunk)
-            pos = 0
-            while pos < n:
-                stop = self._next_side_effect_at()
-                take = (n - pos if stop is None
-                        else min(n - pos, stop - self.records_seen))
-                sub = (chunk if pos == 0 and take == n
-                       else chunk.slice(pos, pos + take))
-                self.process_batch(sub, source)
-                pos += take
-                self._fire_side_effects()
-            consumed += n
-        return consumed
-
-    def _next_side_effect_at(self) -> int | None:
-        """The next records_seen value at which the row loop would act."""
-        seen = self.records_seen
-        stops = []
-        if self.summary_every:
-            stops.append((seen // self.summary_every + 1)
-                         * self.summary_every)
-        if self.refitter is not None:
-            due = (self.refitter.records_at_last_refit
-                   + self.refitter.policy.every_records)
-            stops.append(max(due, seen + 1))
-        if self.checkpoint_path is not None and self.checkpoint_every:
-            stops.append((seen // self.checkpoint_every + 1)
-                         * self.checkpoint_every)
-        return min(stops) if stops else None
-
-    def _fire_side_effects(self) -> None:
-        if self.summary_every and self.records_seen % self.summary_every == 0:
-            self._emit_summary()
-        if self.refitter is not None:
-            refit = self.refitter.maybe_refit(
-                self.cascades, self.stream_time, self.records_seen)
-            if refit is not None:
-                self.publish_influence(refit)
-        if (self.checkpoint_path is not None and self.checkpoint_every
-                and self.records_seen % self.checkpoint_every == 0):
-            self.checkpoint()
 
     # -- publishing ---------------------------------------------------------
 
@@ -398,8 +275,7 @@ class LiveEngine:
             raise ValueError("engine has no checkpoint_path")
         with span("live.checkpoint", records=self.records_seen):
             start = perf_counter()
-            path = save_checkpoint(self.checkpoint_path, self.state_dict(),
-                                   fmt=self.checkpoint_format)
+            path = save_checkpoint(self.checkpoint_path, self.state_dict())
         self.metrics.histogram(
             "repro_live_checkpoint_seconds",
             "Wall time of one checkpoint save.",

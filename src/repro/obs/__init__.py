@@ -17,7 +17,6 @@ Metrics catalog, stage by stage
     repro_live_ingest_records_per_second    gauge      rolling ingest throughput
     repro_live_stream_time_seconds          gauge      stream-time high-water mark
     repro_live_merge_depth                  gauge      k-way merge heap size
-    repro_live_batch_records                histogram  records per columnar batch
     repro_live_refit_seconds                histogram  windowed Hawkes refit wall time
     repro_live_refit_corpus_urls            gauge      URLs in the last refit window
     repro_live_checkpoint_seconds           histogram  checkpoint save wall time

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.collection.store import Dataset, DatasetRecord, UrlOccurrence
+from repro.collection.store import (
+    Dataset,
+    DatasetRecord,
+    UrlOccurrence,
+    _source_family,
+    iter_jsonl,
+)
 from repro.news.domains import NewsCategory
+from repro.obs import get_registry
 
 ALT = NewsCategory.ALTERNATIVE
 MAIN = NewsCategory.MAINSTREAM
@@ -126,3 +133,32 @@ class TestPersistence:
         path = tmp_path / "r.jsonl"
         path.write_text(record().to_json() + "\n\n\n")
         assert len(Dataset.load_jsonl(path)) == 1
+
+
+class TestIterJsonl:
+    @pytest.mark.parametrize("name,family", [
+        ("tweets-00017", "tweets"),
+        ("tweets_2016.12", "tweets"),
+        ("reddit", "reddit"),
+        ("4chan", "4chan"),          # leading digits are not a shard id
+        ("2016", "2016"),            # all digits: keep the stem
+    ])
+    def test_source_family(self, name, family, tmp_path):
+        assert _source_family(tmp_path / f"{name}.jsonl") == family
+
+    def test_skip_labels_by_source_family(self, tmp_path):
+        path = tmp_path / "tweets-00017.jsonl"
+        records = [record(f"p{i}", created_at=float(i)) for i in range(5)]
+        lines = [r.to_json() for r in records] + ["{broken"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        counter = get_registry().counter(
+            "repro_ingest_malformed_total",
+            source="tweets", reason="malformed")
+        before = counter.value
+        assert list(iter_jsonl(path, on_malformed="skip")) == records
+        assert counter.value == before + 1
+
+    def test_on_malformed_validated_eagerly(self, tmp_path):
+        # Raised by the call itself, before the stream is iterated.
+        with pytest.raises(ValueError, match="on_malformed"):
+            iter_jsonl(tmp_path / "missing.jsonl", on_malformed="bogus")

@@ -66,9 +66,13 @@ class TestBranchingSampler:
         assert np.all(observed > 0.7 * expected)
         assert np.all(observed < 1.2 * expected)
 
-    def test_unstable_weights_raise(self, rng):
+    def test_unstable_weights_raise(self, rng, monkeypatch):
+        # A small budget reaches the same raise without generating the
+        # default 5M events first.
+        monkeypatch.setattr(
+            "repro.core.hawkes.simulation._MAX_EVENTS", 20_000)
         params = make_params([0.5], [[1.3]])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="event budget exceeded"):
             simulate_branching(params, 200_000, rng)
 
     def test_children_respect_impulse_support(self, rng):

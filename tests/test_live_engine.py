@@ -163,6 +163,16 @@ class TestCheckpointStrictness:
             save_checkpoint(target, {"records_seen": float("inf")})
         assert load_checkpoint(target) == good
 
+    def test_rejects_unknown_version(self, tmp_path):
+        import json
+        from repro.live import load_checkpoint
+        from repro.live.checkpoint import CHECKPOINT_VERSION
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"version": CHECKPOINT_VERSION + 1,
+                                    "state": {"records_seen": 7}}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+
 
 def test_incremental_runs_drop_no_records(collected):
     """Repeated run(limit=N) drains the bus without losing merge state."""
