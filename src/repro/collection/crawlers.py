@@ -15,10 +15,10 @@ from typing import Iterator, Sequence
 from ..config import FOURCHAN_GAPS
 from ..news.classify import extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
-from ..platforms.fourchan import FourchanPlatform
+from ..platforms.fourchan import ARCHIVE_RETENTION, FourchanPlatform
 from ..platforms.generic import GenericPlatform
 from ..platforms.reddit import RedditPlatform
-from ..timeutil import Interval, in_any_interval
+from ..timeutil import Interval
 from .store import Dataset, DatasetRecord, UrlOccurrence
 
 
@@ -117,7 +117,6 @@ class FourchanCrawler:
                 continue
             gone_at = None
             if thread.purged_at is not None:
-                from ..platforms.fourchan import ARCHIVE_RETENTION
                 gone_at = thread.purged_at + ARCHIVE_RETENTION
             for post in thread.posts:
                 if self._lost(post.created_at, gone_at):

@@ -5,8 +5,8 @@ A checkpoint is a single JSON document holding every aggregator's
 goes through a temp file + atomic rename so a crash mid-write never
 leaves a truncated checkpoint, and a restarted engine restored from the
 file continues mid-stream as if it had never stopped.  Non-finite
-values are rejected at write time, and a file stamped with any other
-``CHECKPOINT_VERSION`` is rejected at read time.
+values are rejected before anything is written, and a file stamped with
+any other ``CHECKPOINT_VERSION`` is rejected at read time.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ def save_checkpoint(path: str | Path, state: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"version": CHECKPOINT_VERSION, "state": state}
+    # json.dumps runs the C encoder (json.dump never does) and writes the
+    # same bytes.  allow_nan=False: a NaN/Inf smuggled into aggregator
+    # state would otherwise serialize as non-standard JSON that other
+    # parsers (and our own strict loads) reject — it raises here, before
+    # any temp file exists, while the previous good checkpoint is intact.
+    text = json.dumps(payload, allow_nan=False)
     tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            # allow_nan=False: a NaN/Inf smuggled into aggregator state
-            # would otherwise serialize as non-standard JSON that other
-            # parsers (and our own strict loads) reject — fail at write
-            # time, while the previous good checkpoint is still intact.
-            json.dump(payload, handle, allow_nan=False)
-    except ValueError:
-        tmp.unlink(missing_ok=True)
-        raise
+    with tmp.open("w", encoding="utf-8") as handle:
+        handle.write(text)
     os.replace(tmp, path)
     return path
 

@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from ..config import HAWKES_PROCESSES, HawkesConfig
-from ..obs import get_registry
+from ..obs import get_registry, span
 from ..core.influence import (
     Engine,
     FitMethod,
@@ -115,11 +115,14 @@ class WindowedHawkesRefitter:
         # only requested) on the in-process n_jobs=1 path.
         processes = (self.ecosystem.processes if self.ecosystem is not None
                      else HAWKES_PROCESSES)
-        result = fit_corpus(corpus, self.config, method=self.policy.method,
-                            processes=processes,
-                            rng=rng, n_jobs=self.policy.n_jobs,
-                            memoize_events=self.policy.n_jobs == 1,
-                            engine=self.policy.engine)
+        with span("live.refit", records=self.records_at_last_refit,
+                  urls=len(corpus)):
+            result = fit_corpus(corpus, self.config,
+                                method=self.policy.method,
+                                processes=processes,
+                                rng=rng, n_jobs=self.policy.n_jobs,
+                                memoize_events=self.policy.n_jobs == 1,
+                                engine=self.policy.engine)
         self.last_result = result
         self.n_refits += 1
         registry.histogram(

@@ -26,10 +26,35 @@ class ClassifiedUrl:
         return self.category == NewsCategory.ALTERNATIVE
 
 
+#: Entries a registry's raw-URL memo may hold before it is cleared.
+#: Collectors see each distinct URL several times (one per repost), so a
+#: few thousand entries cover a whole world while bounding memory.
+#: Threads may race on the memo unlocked: every caller still gets a
+#: correct result, and the cap is overshot by at most one entry each.
+MEMO_CAP = 8192
+
+_MISSING = object()
+
+
 def classify_url(url: str,
                  registry: NewsRegistry | None = None) -> ClassifiedUrl | None:
-    """Classify a single URL; returns ``None`` for non-news URLs."""
+    """Classify a single URL; returns ``None`` for non-news URLs.
+
+    Results (``None`` included) are memoized per raw URL string on the
+    registry, so a URL reposted many times is parsed once.
+    """
     registry = registry or default_registry()
+    memo = registry._classified
+    result = memo.get(url, _MISSING)
+    if result is _MISSING:
+        result = _classify(url, registry)
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[url] = result
+    return result
+
+
+def _classify(url: str, registry: NewsRegistry) -> ClassifiedUrl | None:
     host = registered_domain(url)
     if not host:
         return None

@@ -243,6 +243,21 @@ class NewsRegistry:
         self._by_name = {d.name.lower(): d for d in self.domains}
         if len(self._by_name) != len(self.domains):
             raise ValueError("duplicate domain names in registry")
+        #: Raw URL -> classification memo owned by
+        #: :func:`repro.news.classify.classify_url`.  Not a field, so it
+        #: never enters equality or ``repr``.
+        self._classified: dict[str, object] = {}
+
+    def __getstate__(self) -> dict:
+        # The memo is a per-process cache: pickles (the artifact store
+        # persists worlds, which hold their registry) stay as they were.
+        state = dict(self.__dict__)
+        del state["_classified"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._classified = {}
 
     # -- lookups ----------------------------------------------------------
 

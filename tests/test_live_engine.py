@@ -26,6 +26,14 @@ from repro.pipeline import influence_cascades, stream_sources
 
 
 @pytest.fixture(scope="module")
+def tiny_world():
+    from repro.synthesis.world import WorldConfig, build_world
+    return build_world(WorldConfig(
+        seed=7, n_stories_alternative=40, n_stories_mainstream=100,
+        n_twitter_users=60, n_reddit_users=50))
+
+
+@pytest.fixture(scope="module")
 def live_engine(small_world):
     engine = LiveEngine(EventBus(stream_sources(small_world)),
                         summary_every=0)
@@ -91,6 +99,43 @@ def test_refitter_runs_on_stream(small_world):
         for fit in refitter.last_result.fits:
             assert fit.weights.shape == (k, k)
             assert np.all(fit.weights >= 0)
+
+
+def test_refit_traced_as_one_span_with_identical_result(
+        live_engine, tmp_path, monkeypatch):
+    import json
+    from repro.api.serialize import influence_payload, payload_key
+    from repro.obs import TRACE_ENV, stop_trace, trace
+
+    def refit():
+        refitter = WindowedHawkesRefitter(
+            policy=RefitPolicy(every_records=1, max_urls=3, method="em"),
+            seed=3)
+        return refitter.maybe_refit(live_engine.cascades,
+                                    live_engine.stream_time,
+                                    live_engine.records_seen)
+
+    stop_trace()
+    untraced = refit()
+    path = tmp_path / "trace.jsonl"
+    monkeypatch.setenv(TRACE_ENV, str(path))
+    monkeypatch.setattr(trace, "_sink", trace._UNSET)
+    try:
+        traced = refit()
+    finally:
+        stop_trace()
+    spans = [json.loads(line) for line in path.read_text().splitlines()]
+    refits = [s for s in spans if s["name"] == "live.refit"]
+    assert len(refits) == 1
+    assert refits[0]["attrs"] == {"records": live_engine.records_seen,
+                                  "urls": len(traced.fits)}
+    assert untraced is not None and len(untraced.fits) > 0
+    assert payload_key(influence_payload(traced)) == payload_key(
+        influence_payload(untraced))
+    for a, b in zip(untraced.fits, traced.fits):
+        assert a.log_likelihood == b.log_likelihood
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.background, b.background)
 
 
 def test_refit_window_selects_settled_cascades(live_engine):
@@ -162,6 +207,37 @@ class TestCheckpointStrictness:
         with pytest.raises(ValueError):
             save_checkpoint(target, {"records_seen": float("inf")})
         assert load_checkpoint(target) == good
+
+    @staticmethod
+    def _drain_to_checkpoint(world, path):
+        engine = LiveEngine(EventBus(stream_sources(world)),
+                            summary_every=0, checkpoint_path=path)
+        engine.run()
+        return engine
+
+    def test_bytes_match_stdlib_json_dump(self, tiny_world, tmp_path):
+        import json
+        from repro.live import save_checkpoint
+        from repro.live.checkpoint import CHECKPOINT_VERSION
+        engine = self._drain_to_checkpoint(tiny_world, None)
+        state = engine.state_dict()
+        path = save_checkpoint(tmp_path / "ckpt.json", state)
+        reference = tmp_path / "reference.json"
+        with reference.open("w", encoding="utf-8") as fh:
+            json.dump({"version": CHECKPOINT_VERSION, "state": state}, fh,
+                      allow_nan=False)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_warm_classification_memo_writes_same_bytes(self, tiny_world,
+                                                        tmp_path):
+        from repro.news.domains import default_registry
+        default_registry()._classified.clear()
+        cold = self._drain_to_checkpoint(tiny_world, tmp_path / "cold.json")
+        assert default_registry()._classified  # the second drain hits it
+        warm = self._drain_to_checkpoint(tiny_world, tmp_path / "warm.json")
+        assert cold.records_seen == warm.records_seen > 0
+        assert ((tmp_path / "cold.json").read_bytes()
+                == (tmp_path / "warm.json").read_bytes())
 
     def test_rejects_unknown_version(self, tmp_path):
         import json

@@ -1,10 +1,19 @@
 """Tests for article generation and URL classification."""
 
+import itertools
+
 import pytest
 
+from repro.news import classify
 from repro.news.articles import Article, ArticleGenerator
-from repro.news.classify import classify_url, extract_news_urls
-from repro.news.domains import NewsCategory
+from repro.news.classify import ClassifiedUrl, classify_url, extract_news_urls
+from repro.news.domains import (
+    MAINSTREAM_DOMAINS,
+    NewsCategory,
+    NewsRegistry,
+    default_registry,
+)
+from repro.news.urls import canonicalize_url, extract_urls, registered_domain
 
 
 class TestArticleGenerator:
@@ -109,3 +118,72 @@ class TestExtractNewsUrls:
 
     def test_empty_text(self, registry):
         assert extract_news_urls("", registry) == []
+
+
+def _world_raw_urls(world) -> list[str]:
+    """Every distinct raw URL in the world's posts, in first-seen order."""
+    texts = itertools.chain(
+        (tweet.text for tweet in world.twitter.firehose),
+        (post.to_post().text for post in world.reddit.posts.values()),
+        (c.to_post().text for c in world.reddit.comments.values()),
+        (post.to_post().text for thread in world.fourchan.threads.values()
+         for post in thread.posts))
+    return list(dict.fromkeys(
+        url for text in texts for url in extract_urls(text)))
+
+
+def _classify_directly(url: str, registry: NewsRegistry):
+    host = registered_domain(url)
+    entry = registry.lookup(host) if host else None
+    if entry is None:
+        return None
+    return ClassifiedUrl(url=canonicalize_url(url), domain=entry.name,
+                         category=entry.category)
+
+
+class TestClassifyMemo:
+    def test_memo_matches_direct_classification(self, small_world):
+        registry = NewsRegistry()  # cold memo: the first pass all misses
+        urls = _world_raw_urls(small_world)
+        assert len(urls) > 100
+        expected = [_classify_directly(url, registry) for url in urls]
+        cold = [classify_url(url, registry) for url in urls]
+        assert cold == expected
+        warm = [classify_url(url, registry) for url in urls]
+        assert warm == expected
+
+    def test_registries_keep_separate_memos(self):
+        url = "https://www.breitbart.com/2016/story"
+        assert classify_url(url, default_registry()) is not None
+        mainstream_only = NewsRegistry(domains=MAINSTREAM_DOMAINS)
+        assert classify_url(url, mainstream_only) is None
+
+    def test_memo_cleared_at_cap(self, monkeypatch):
+        monkeypatch.setattr(classify, "MEMO_CAP", 2)
+        registry = NewsRegistry()
+        urls = ["http://cnn.com/a", "http://example.com/b",
+                "https://www.rt.com/c/", "http://nytimes.com/d?utm_source=x",
+                "http:///path-only"]
+        expected = [_classify_directly(url, registry) for url in urls]
+        for _ in range(2):
+            for url, want in zip(urls, expected):
+                assert classify_url(url, registry) == want
+                assert len(registry._classified) <= 2
+
+    def test_memo_outside_equality_and_repr(self):
+        warm, cold = NewsRegistry(), NewsRegistry()
+        before = repr(warm)
+        classify_url("http://cnn.com/a", warm)
+        classify_url("http://example.com/b", warm)
+        assert warm == cold
+        assert repr(warm) == before
+
+    def test_memo_left_out_of_pickles(self):
+        import pickle
+        warm = NewsRegistry()
+        classify_url("http://cnn.com/a", warm)
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == warm and clone._classified == {}
+        assert pickle.dumps(warm) == pickle.dumps(NewsRegistry())
+        assert classify_url("http://cnn.com/a", clone) == classify_url(
+            "http://cnn.com/a", warm)
