@@ -26,10 +26,10 @@ import pytest
 
 from repro.analysis import characterization as chz
 from repro.analysis import sequences
+from repro.api import Study
 from repro.collection.store import Dataset
 from repro.live import EventBus, LiveEngine
 from repro.news.domains import NewsCategory
-from repro.pipeline import generate_and_collect
 from repro.reporting import render_table
 from repro.synthesis.world import WorldConfig
 
@@ -62,7 +62,7 @@ def _emit_bench_json():
 
 @pytest.fixture(scope="module")
 def live_records():
-    dataset = generate_and_collect(INGEST_CONFIG).merged()
+    dataset = Study(world=INGEST_CONFIG).data.merged()
     return sorted(dataset, key=lambda r: r.created_at)
 
 

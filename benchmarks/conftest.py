@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import HawkesConfig, TWITTER_GAPS
-from repro.core import fit_corpus, select_urls, trim_gap_urls
-from repro.pipeline import generate_and_collect, influence_cascades
+from repro.api import Study
+from repro.config import HawkesConfig
+from repro.core import fit_corpus
 from repro.synthesis.world import WorldConfig
 
 from _helpers import RESULTS_DIR  # noqa: E402 (pytest adds benchmarks/ to sys.path)
@@ -34,16 +34,19 @@ BENCH_HAWKES = HawkesConfig(gibbs_iterations=40, gibbs_burn_in=15)
 
 
 @pytest.fixture(scope="session")
-def bench_data():
-    return generate_and_collect(BENCH_CONFIG)
+def bench_study():
+    return Study(world=BENCH_CONFIG,
+                 trim_fraction=BENCH_HAWKES.gap_trim_fraction)
 
 
 @pytest.fixture(scope="session")
-def bench_corpus(bench_data):
-    cascades = influence_cascades(bench_data)
-    selected = select_urls(cascades)
-    return trim_gap_urls(selected, TWITTER_GAPS,
-                         BENCH_HAWKES.gap_trim_fraction)
+def bench_data(bench_study):
+    return bench_study.data
+
+
+@pytest.fixture(scope="session")
+def bench_corpus(bench_study):
+    return bench_study.corpus
 
 
 @pytest.fixture(scope="session")

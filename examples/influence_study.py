@@ -14,19 +14,9 @@ Run (default ~2-4 minutes):
 import argparse
 import time
 
-import numpy as np
-
-from repro.config import HawkesConfig, TWITTER_GAPS
-from repro.core import (
-    aggregate_weights,
-    corpus_background_rates,
-    fit_corpus,
-    influence_percentages,
-    select_urls,
-    trim_gap_urls,
-)
+from repro import Study
+from repro.config import HawkesConfig
 from repro.news.domains import NewsCategory
-from repro.pipeline import generate_and_collect, influence_cascades
 from repro.reporting import render_matrix_cells, render_table
 from repro.synthesis import WorldConfig
 
@@ -48,29 +38,21 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
+    study = Study(
+        WorldConfig(seed=args.seed, n_stories_alternative=1100,
+                    n_stories_mainstream=3300, n_twitter_users=1500,
+                    n_reddit_users=1200),
+        hawkes=HawkesConfig(gibbs_iterations=args.iterations,
+                            gibbs_burn_in=max(5, args.iterations // 3)),
+        method=args.method, fit_seed=args.seed,
+        max_urls=args.urls or None, n_jobs=args.jobs)
     print("building world and collecting datasets...")
-    data = generate_and_collect(WorldConfig(
-        seed=args.seed,
-        n_stories_alternative=1100,
-        n_stories_mainstream=3300,
-        n_twitter_users=1500,
-        n_reddit_users=1200,
-    ))
-    cascades = influence_cascades(data)
-    corpus = trim_gap_urls(select_urls(cascades), TWITTER_GAPS, 0.10)
-    if args.urls:
-        corpus = corpus[:args.urls]
-    print(f"fitting {len(corpus)} URLs with {args.method}...")
-
-    config = HawkesConfig(gibbs_iterations=args.iterations,
-                          gibbs_burn_in=max(5, args.iterations // 3))
+    print(f"fitting {len(study.corpus)} URLs with {args.method}...")
     started = time.time()
-    result = fit_corpus(corpus, config, method=args.method,
-                        rng=np.random.default_rng(args.seed),
-                        n_jobs=args.jobs)
+    result = study.influence()
     print(f"fitted in {time.time() - started:.0f}s\n")
 
-    summary = corpus_background_rates(result)
+    summary = study.corpus_summary()
     alt, main = NewsCategory.ALTERNATIVE, NewsCategory.MAINSTREAM
     print(render_table(
         ["Process", "URLs A/M", "Events A/M", "λ0 A", "λ0 M"],
@@ -83,7 +65,7 @@ def main() -> None:
         title="Table 11 — corpus summary"))
     print()
 
-    agg = aggregate_weights(result)
+    agg = study.aggregate()
     stars = agg.significance_stars()
     cells = [[[f"A: {agg.mean_alternative[i, j]:.4f}",
                f"M: {agg.mean_mainstream[i, j]:.4f}",
@@ -92,8 +74,8 @@ def main() -> None:
     print(render_matrix_cells(result.processes, cells,
                               title="Figure 10 — mean weights"))
 
-    pct_alt = influence_percentages(result, alt)
-    pct_main = influence_percentages(result, main)
+    pct_alt = study.percentages(alt)
+    pct_main = study.percentages(main)
     cells = [[[f"A: {pct_alt[i, j]:.2f}%",
                f"M: {pct_main[i, j]:.2f}%"]
               for j in range(8)] for i in range(8)]

@@ -28,7 +28,7 @@ from importlib import metadata as _metadata
 try:
     __version__ = _metadata.version("repro-web-centipede")
 except _metadata.PackageNotFoundError:  # running from a source checkout
-    __version__ = "1.4.0"
+    __version__ = "2.0.0"
 
 from . import (
     analysis,
@@ -50,14 +50,7 @@ from .config import HawkesConfig, StudyConfig
 from .core import InfluenceResult, UrlCascade, fit_corpus
 from .core.influence import CorpusSummary, UrlFit, WeightAggregate
 from .news.domains import NewsCategory
-from .pipeline import (
-    CollectedData,
-    collect,
-    fit_influence,
-    generate_and_collect,
-    influence_cascades,
-    influence_corpus,
-)
+from .pipeline import CollectedData, collect, influence_cascades
 from .synthesis.world import World, WorldConfig
 
 __all__ = [
@@ -94,13 +87,10 @@ __all__ = [
     "WeightAggregate",
     "World",
     "WorldConfig",
-    # legacy pipeline functions (deprecation shims / compute helpers)
+    # pure compute functions the Study stages call
     "collect",
     "fit_corpus",
-    "fit_influence",
-    "generate_and_collect",
     "influence_cascades",
-    "influence_corpus",
     # metadata
     "__version__",
 ]

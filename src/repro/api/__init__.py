@@ -25,6 +25,10 @@ upstream, so a changed knob invalidates exactly the cone below it::
                               ├── aggregate   (Figure 10)
                               └── summary     (Table 11 rates)
 
+:meth:`Study.report` is not a stage: it renders ``table:2`` and
+``table:5`` .. ``table:10``, the corpus, ``fits`` and ``aggregate``
+(plus a few data-level lines), so a warm report computes nothing.
+
 ``n_jobs`` is deliberately absent from every key: the parallel layer
 guarantees bit-identical results for any worker count, so it is an
 execution knob, not a configuration knob.

@@ -34,7 +34,6 @@ from time import perf_counter
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
-from ..config import HAWKES_PROCESSES
 from ..obs import (
     CONTENT_TYPE_PROMETHEUS,
     DEFAULT_TIME_BUCKETS,
@@ -338,9 +337,7 @@ class StudyService:
         if category is not None and category not in (
                 "alternative", "mainstream"):
             return _error(400, f"unknown category {category!r}")
-        ecosystem = getattr(self.study, "ecosystem", None)
-        known = (ecosystem.processes if ecosystem is not None
-                 else HAWKES_PROCESSES)
+        known = self.study.ecosystem.processes
         for process in (source, destination):
             if process is not None and process not in known:
                 return _error(400, f"unknown process {process!r}")

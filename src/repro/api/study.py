@@ -3,18 +3,20 @@
 A ``Study`` owns all the knobs a reproduction run needs (world
 configuration, Hawkes configuration, fit method and seed, worker
 count) and exposes each pipeline product — world, collected datasets,
-cascades, corpus, per-URL fits, aggregates, tables, the markdown
-report — as a lazily computed stage artifact.  Stages form an explicit
-dependency graph; each stage's key is the content hash of its
-parameters plus its upstream keys, so identically configured studies
-agree on every key and share artifacts through an
+cascades, corpus, per-URL fits, aggregates, tables — as a lazily
+computed stage artifact, rendering the markdown report from them.
+Stages form an explicit dependency graph; each stage's key is the
+content hash of its parameters plus its upstream keys, so identically
+configured studies agree on every key and share artifacts through an
 :class:`~repro.api.store.ArtifactStore` (in-memory by default, on-disk
 and cross-process with ``cache_dir=``).
 
-The numerical results are bit-identical to the legacy
-:mod:`repro.pipeline` free functions: stages call the exact same
-underlying code (``build_world``/``collect``/``fit_corpus``/...), the
-session only adds keying, memoization, and persistence on top.
+Stages call the pure compute functions directly (``build_world``,
+:func:`repro.pipeline.collect`, ``select_urls``, ``fit_corpus``, the
+table builders); the session only adds keying, memoization, and
+persistence on top.  :meth:`Study._compute_corpus` is the one batch
+corpus-selection routine, and :meth:`Study.report` renders the cached
+stages without recomputing any analysis.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class Study:
         study.table(4)                      # instant: memoized artifact
         result = study.influence()          # per-URL Hawkes fits
 
-    Parameters mirror the legacy pipeline entry points: ``world`` (or
-    the ``seed`` shorthand) configures the synthetic world, ``hawkes``
-    / ``method`` / ``fit_seed`` / ``max_urls`` the Section-5 corpus
-    fit, and ``n_jobs`` the worker fan-out (a pure execution knob —
-    results and therefore artifact keys are identical for any value).
+    Parameters: ``world`` (or the ``seed`` shorthand) configures the
+    synthetic world, ``hawkes`` / ``method`` / ``fit_seed`` /
+    ``max_urls`` the Section-5 corpus fit, and ``n_jobs`` the worker
+    fan-out (a pure execution knob — results and therefore artifact
+    keys are identical for any value).
     ``engine`` picks the EM execution strategy (``"per-url"`` golden
     reference or ``"batched"`` packed array program); like ``n_jobs``
     it is an execution knob equivalent to floating-point tolerance, so
@@ -172,9 +174,8 @@ class Study:
 
         The world and data stages are pre-seeded from ``data`` (keyed
         by ``data.world.config``, which the caller vouches actually
-        produced it); downstream stages compute lazily as usual.  This
-        is how the legacy ``fit_influence(data, ...)`` shim reuses the
-        session machinery without re-collecting.
+        produced it); downstream stages compute lazily as usual, so
+        data collected elsewhere gets every product without re-collecting.
         """
         study = cls(world=data.world.config, **kwargs)
         with study._lock:
@@ -395,17 +396,10 @@ class Study:
         return {table_id: self.table(table_id) for table_id in TABLE_IDS}
 
     def report(self, include_influence: bool = True) -> str:
-        """The full markdown study report over this session's artifacts."""
+        """The full markdown study report, rendered from stage artifacts."""
         from ..reporting.study import generate_study_report
-        corpus = result = None
-        if include_influence:
-            corpus = self.corpus
-            if len(corpus) >= 4:
-                result = self.influence()
-        return generate_study_report(
-            self.data, include_influence=include_influence,
-            n_jobs=self.n_jobs, corpus=corpus, influence_result=result,
-            ecosystem=self.ecosystem)
+        return generate_study_report(self,
+                                     include_influence=include_influence)
 
     def write_report(self, path, include_influence: bool = True):
         from pathlib import Path

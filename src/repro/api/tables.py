@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..analysis import characterization as chz
 from ..analysis import sequences, temporal
-from ..config import HAWKES_PROCESSES
 from ..news.domains import NewsCategory
 from ..paper import by_id
 from ..reporting.tables import render_table

@@ -170,7 +170,6 @@ def cmd_world(args: argparse.Namespace) -> int:
 
 def cmd_live(args: argparse.Namespace) -> int:
     """Stream a synthetic world (or saved JSONL) through the live engine."""
-    from .config import SEQUENCE_PLATFORMS
     from .live import (
         EventBus,
         LiveEngine,
@@ -179,6 +178,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         jsonl_source,
     )
     from .news.domains import NewsCategory
+    from .platforms.registry import PAPER_ECOSYSTEM
     from .reporting import render_table
 
     if args.resume and args.checkpoint is None:
@@ -190,7 +190,8 @@ def cmd_live(args: argparse.Namespace) -> int:
         scenario = get_scenario(args.scenario)
         print(f"scenario {scenario.scenario_id} "
               f"(K={scenario.k}: {', '.join(scenario.ecosystem.processes)})")
-    ecosystem = scenario.ecosystem if scenario is not None else None
+    ecosystem = (scenario.ecosystem if scenario is not None
+                 else PAPER_ECOSYSTEM)
     if args.replay:
         factories = []
         taken: set[str] = set()
@@ -235,8 +236,7 @@ def cmd_live(args: argparse.Namespace) -> int:
                                max_urls=args.refit_max_urls,
                                n_jobs=args.jobs,
                                engine=args.engine),
-            seed=args.seed,
-            ecosystem=ecosystem)
+            seed=args.seed)
     publish_store = None
     if args.cache is not None:
         from .api import ArtifactStore
@@ -267,13 +267,11 @@ def cmd_live(args: argparse.Namespace) -> int:
                 [[r.sequence, str(r.count), f"{r.percentage:.1f}"]
                  for r in rows],
                 title=f"First-hop sequences — {category.value}"))
-    slices = (ecosystem.slices if ecosystem is not None
-              else SEQUENCE_PLATFORMS)
     top = [[name] + [
         f"{row.name} ({row.percentage:.1f}%)"
         for row in engine.domains.top_domains(
             name, NewsCategory.ALTERNATIVE, 3)]
-        for name in slices]
+        for name in ecosystem.slices]
     width = max(len(row) for row in top)
     print(render_table(
         ["Slice"] + [f"#{i + 1}" for i in range(width - 1)],

@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from ..obs import get_registry, publish_snapshot, span
-from ..platforms.registry import Ecosystem
+from ..platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from .aggregators import (
     CascadeAssembler,
     DomainFractionAggregator,
@@ -62,16 +62,15 @@ class LiveEngine:
                  on_summary: Callable[[RollingSummary], None] | None = None,
                  publish_store=None,
                  registry=None,
-                 ecosystem: Ecosystem | None = None,
+                 ecosystem: Ecosystem = PAPER_ECOSYSTEM,
                  ) -> None:
         self.bus = bus if bus is not None else EventBus()
         self.refitter = refitter
-        #: Optional K-platform ecosystem; when set, every aggregator is
-        #: built over its slices/processes instead of the paper's fixed
-        #: triple, and a default-configured refitter inherits it too.
+        #: K-platform ecosystem (the paper's by default): every
+        #: aggregator is built over its slices/processes, and the
+        #: refitter fits over its processes and selection rule too.
         self.ecosystem = ecosystem
-        if refitter is not None and ecosystem is not None \
-                and refitter.ecosystem is None:
+        if refitter is not None:
             refitter.ecosystem = ecosystem
         #: Optional :class:`repro.api.ArtifactStore`; each windowed
         #: refit is published there so the HTTP query service serves
@@ -83,18 +82,12 @@ class LiveEngine:
         self.summary_every = summary_every
         self.on_summary = on_summary
 
-        if ecosystem is None:
-            self.domains = DomainFractionAggregator()
-            self.appearances = UrlAppearanceAggregator()
-            self.first_hops = FirstHopAggregator()
-            self.cascades = CascadeAssembler()
-        else:
-            slices, slice_of = ecosystem.slices, ecosystem.slice_of
-            self.domains = DomainFractionAggregator(slices, slice_of)
-            self.appearances = UrlAppearanceAggregator(slices, slice_of)
-            self.first_hops = FirstHopAggregator(slices, slice_of)
-            self.cascades = CascadeAssembler(ecosystem.processes,
-                                             ecosystem.process_of)
+        slices, slice_of = ecosystem.slices, ecosystem.slice_of
+        self.domains = DomainFractionAggregator(slices, slice_of)
+        self.appearances = UrlAppearanceAggregator(slices, slice_of)
+        self.first_hops = FirstHopAggregator(slices, slice_of)
+        self.cascades = CascadeAssembler(ecosystem.processes,
+                                         ecosystem.process_of)
 
         self.records_seen = 0
         self.by_source: Counter = Counter()

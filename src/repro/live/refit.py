@@ -16,7 +16,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..config import HAWKES_PROCESSES, HawkesConfig
+from ..config import HawkesConfig
 from ..obs import get_registry, span
 from ..core.influence import (
     Engine,
@@ -25,7 +25,7 @@ from ..core.influence import (
     select_urls,
     fit_corpus,
 )
-from ..platforms.registry import Ecosystem
+from ..platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from ..timeutil import SECONDS_PER_DAY
 from .aggregators import CascadeAssembler
 
@@ -61,10 +61,10 @@ class WindowedHawkesRefitter:
     config: HawkesConfig = field(default_factory=lambda: HawkesConfig(
         gibbs_iterations=30, gibbs_burn_in=10))
     seed: int = 0
-    #: Optional K-platform ecosystem: its processes become the fit axes
-    #: and its require_all/require_any rule selects the corpus.  ``None``
-    #: keeps the paper's eight processes and Section 5.2 rule exactly.
-    ecosystem: Ecosystem | None = None
+    #: K-platform ecosystem: its processes become the fit axes and its
+    #: require_all/require_any rule selects the corpus (the paper's
+    #: eight processes and Section 5.2 rule by default).
+    ecosystem: Ecosystem = field(default_factory=lambda: PAPER_ECOSYSTEM)
 
     def __post_init__(self) -> None:
         self.last_result: InfluenceResult | None = None
@@ -90,15 +90,13 @@ class WindowedHawkesRefitter:
         window_start = now - self.policy.window_seconds
         settled_before = now - self.policy.quiet_seconds
         cascades = assembler.cascades_between(window_start, settled_before)
-        if self.ecosystem is None:
-            corpus = select_urls(cascades)[:self.policy.max_urls]
-        else:
-            corpus = select_urls(
-                cascades,
-                processes=self.ecosystem.processes,
-                require_all=self.ecosystem.require_all,
-                require_any=self.ecosystem.require_any,
-            )[:self.policy.max_urls]
+        ecosystem = self.ecosystem
+        corpus = select_urls(
+            cascades,
+            processes=ecosystem.processes,
+            require_all=ecosystem.require_all,
+            require_any=ecosystem.require_any,
+        )[:self.policy.max_urls]
         self.last_corpus_size = len(corpus)
         registry = get_registry()
         registry.gauge(
@@ -113,13 +111,11 @@ class WindowedHawkesRefitter:
         # event binning lets their kernel structures carry over.  Worker
         # pools are rebuilt per refit, so the memo only survives (and is
         # only requested) on the in-process n_jobs=1 path.
-        processes = (self.ecosystem.processes if self.ecosystem is not None
-                     else HAWKES_PROCESSES)
         with span("live.refit", records=self.records_at_last_refit,
                   urls=len(corpus)):
             result = fit_corpus(corpus, self.config,
                                 method=self.policy.method,
-                                processes=processes,
+                                processes=ecosystem.processes,
                                 rng=rng, n_jobs=self.policy.n_jobs,
                                 memoize_events=self.policy.n_jobs == 1,
                                 engine=self.policy.engine)

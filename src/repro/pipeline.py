@@ -5,20 +5,15 @@ generate (or obtain) the platforms, crawl them into datasets, slice the
 datasets into the community splits every table uses, and assemble the
 per-URL cascades for the Hawkes influence experiment.
 
-.. note::
-   The preferred public surface is :class:`repro.Study`
-   (:mod:`repro.api`), which wraps these functions with dependency
-   tracking and a content-addressed artifact cache.  The pure
-   compute helpers here (:func:`collect`, :func:`influence_cascades`,
-   :func:`influence_corpus`, :func:`stream_sources`) remain the
-   canonical implementations the session delegates to; the one-shot
-   entry points (:func:`generate_and_collect`, :func:`fit_influence`)
-   are deprecation shims that now delegate *to* the session.
+The preferred public surface is :class:`repro.Study` (:mod:`repro.api`),
+which calls these pure compute functions (:func:`collect`,
+:func:`influence_cascades`) as stages, adding dependency tracking and a
+content-addressed artifact cache.  :func:`stream_sources` feeds the
+same collectors to the live event bus one record at a time.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -33,27 +28,10 @@ from .collection import (
     TweetRecrawler,
     TwitterStreamCollector,
 )
-from .platforms.registry import Ecosystem
-from .config import (
-    HAWKES_PROCESSES,
-    HawkesConfig,
-    PLATFORM_POL,
-    PLATFORM_REDDIT,
-    PLATFORM_TWITTER,
-    SELECTED_SUBREDDITS,
-    TWITTER_GAPS,
-)
-from .core.influence import (
-    FitMethod,
-    InfluenceResult,
-    UrlCascade,
-    fit_corpus,
-    select_urls,
-    trim_gap_urls,
-)
-from .news.domains import NewsCategory
-from .parallel.seeding import SeedLike
-from .synthesis.world import World, WorldConfig, build_world
+from .platforms.registry import PAPER_ECOSYSTEM, Ecosystem
+from .config import PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER
+from .core.influence import UrlCascade
+from .synthesis.world import World
 
 
 @dataclass
@@ -140,20 +118,6 @@ def collect(world: World, stream_seed: int = 0) -> CollectedData:
                          fourchan=fourchan, recrawl=recrawl, extras=extras)
 
 
-def generate_and_collect(config: WorldConfig | None = None) -> CollectedData:
-    """Build a world and crawl it.
-
-    .. deprecated:: 1.2
-       Use ``repro.Study(world=config).data`` — same result, plus
-       artifact caching and access to every downstream stage.
-    """
-    warnings.warn(
-        "generate_and_collect() is deprecated; use "
-        "repro.Study(world=config).data", DeprecationWarning, stacklevel=2)
-    from .api.study import Study
-    return Study(world=config).data
-
-
 def stream_source_factories(world: World, stream_seed: int = 0,
                             ) -> list[tuple[str,
                                             Callable[[],
@@ -194,22 +158,17 @@ def stream_sources(world: World, stream_seed: int = 0,
 
 
 def influence_cascades(data: CollectedData,
-                       ecosystem: Ecosystem | None = None,
+                       ecosystem: Ecosystem = PAPER_ECOSYSTEM,
                        ) -> list[UrlCascade]:
     """Assemble per-URL cascades over the ecosystem's K processes.
 
     Communities the ecosystem maps to no process (other subreddits,
-    other boards) are ignored, matching Section 5.2.  Without an
-    ecosystem, the paper's eight processes apply (each community is its
-    own process); a scenario ecosystem may merge communities into
-    platform-level processes (e.g. the six subreddits into ``Reddit``).
+    other boards) are ignored, matching Section 5.2.  In the paper's
+    ecosystem each of the eight communities is its own process; a
+    scenario ecosystem may merge communities into platform-level
+    processes (e.g. the six subreddits into ``Reddit``).
     """
-    if ecosystem is None:
-        allowed = set(HAWKES_PROCESSES)
-        process_of = (lambda community:
-                      community if community in allowed else None)
-    else:
-        process_of = ecosystem.process_of
+    process_of = ecosystem.process_of
     merged = data.merged()
     categories = merged.url_categories()
     cascades: list[UrlCascade] = []
@@ -225,37 +184,3 @@ def influence_cascades(data: CollectedData,
             events=events,
         ))
     return cascades
-
-
-def influence_corpus(data: CollectedData,
-                     gaps: tuple = TWITTER_GAPS,
-                     trim_fraction: float = 0.10,
-                     max_urls: int | None = None) -> list[UrlCascade]:
-    """Assemble, select, and gap-trim the Hawkes corpus (Section 5.2)."""
-    corpus = trim_gap_urls(select_urls(influence_cascades(data)),
-                           gaps, trim_fraction)
-    return corpus if max_urls is None else corpus[:max_urls]
-
-
-def fit_influence(data: CollectedData,
-                  config: HawkesConfig | None = None,
-                  method: FitMethod = "gibbs",
-                  rng: SeedLike = 0,
-                  max_urls: int | None = None,
-                  n_jobs: int | None = 1) -> InfluenceResult:
-    """Corpus selection + per-URL fitting in one call.
-
-    .. deprecated:: 1.2
-       Use ``repro.Study.from_data(data, ...).influence()`` — the shim
-       delegates there (bit-identical results; ``n_jobs`` fans the
-       per-URL fits out without changing them, see
-       :mod:`repro.parallel`).
-    """
-    warnings.warn(
-        "fit_influence() is deprecated; use "
-        "repro.Study.from_data(data, ...).influence()",
-        DeprecationWarning, stacklevel=2)
-    from .api.study import Study
-    study = Study.from_data(data, hawkes=config, method=method,
-                            fit_seed=rng, max_urls=max_urls, n_jobs=n_jobs)
-    return study.influence()

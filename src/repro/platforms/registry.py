@@ -229,6 +229,6 @@ def make_ecosystem(name: str, *,
 
 
 #: The paper's ecosystem: K = 8 processes over the fixed triple, with
-#: the Section 5.2 selection rule.  Every legacy entry point that does
-#: not name a scenario runs against this.
+#: the Section 5.2 selection rule.  It is the default ecosystem of
+#: ``Study``, ``influence_cascades``, ``LiveEngine`` and the refitter.
 PAPER_ECOSYSTEM = make_ecosystem("paper")

@@ -8,7 +8,7 @@ prints and what EXPERIMENTS.md quotes.
 
 from .tables import render_matrix_cells, render_table
 from .figures import ecdf_series, write_series
-from .study import generate_study_report, write_study_report
+from .study import generate_study_report
 
 __all__ = [
     "render_matrix_cells",
@@ -16,5 +16,4 @@ __all__ = [
     "ecdf_series",
     "write_series",
     "generate_study_report",
-    "write_study_report",
 ]

@@ -1,26 +1,23 @@
-"""One-shot study report: every analysis over one collected dataset.
+"""One-shot study report: the paper's sections rendered from a Study.
 
 :func:`generate_study_report` walks the paper's structure — dataset
 overview, characterization, temporal dynamics, sequences, influence —
-and renders a single markdown report.  This is the "run the whole paper
-on my data" entry point for downstream users (also available as
-``python -m repro report``).
+and renders a single markdown report (also available as ``python -m
+repro report``).  It is a pure rendering of the session's stage
+artifacts: the table stages supply Tables 2 and 5-10, and the corpus,
+``fits`` and ``aggregate`` stages the Section 5 lines.  Only the
+header record counts and the Figure 3 and 5 lines read the collected
+data directly.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from ..analysis import characterization as chz
-from ..analysis import sequences, temporal
-from ..config import (
-    HAWKES_PROCESSES,
-    HawkesConfig,
-    STUDY_END,
-    STUDY_START,
-)
+from ..analysis import temporal
+from ..config import STUDY_END, STUDY_START
+from ..core import influence_percentages
 from ..news.domains import NewsCategory
 from .tables import render_table
 
@@ -28,34 +25,21 @@ ALT = NewsCategory.ALTERNATIVE
 MAIN = NewsCategory.MAINSTREAM
 
 
-def _section_overview(data) -> str:
-    named = {
-        "Twitter": data.twitter,
-        "Reddit (six selected subreddits)": data.reddit_six,
-        "Reddit (other subreddits)": data.reddit_other,
-        "4chan (/pol/)": data.pol,
-        "4chan (other boards)": data.fourchan_other,
-    }
-    named.update(data.extra_slices())
-    rows = chz.dataset_overview(named)
-    table = render_table(
-        ["Community", "Posts w/ URLs", "Alt URLs", "Main URLs"],
-        [[r.name, r.posts_with_urls, r.unique_alternative,
-          r.unique_mainstream] for r in rows])
+def _section_overview(table2) -> str:
+    table = render_table(table2.columns, table2.rows)
     return f"## Dataset overview (Table 2)\n\n```\n{table}\n```\n"
 
 
-def _section_domains(data) -> str:
+def _section_domains(rankings) -> str:
+    """Top-5 lines from ``(name, table)`` pairs of Tables 5-7."""
     parts = ["## Top domains (Tables 5-7)\n"]
-    for name, dataset in (("Twitter", data.twitter),
-                          ("six subreddits", data.reddit_six),
-                          ("/pol/", data.pol)):
-        alt = chz.top_domains(dataset, ALT, 5)
-        main = chz.top_domains(dataset, MAIN, 5)
+    for name, table in rankings:
+        top = table.rows[:5]
         parts.append(f"**{name}** — alternative: " + ", ".join(
-            f"{r.name} ({r.percentage:.1f}%)" for r in alt))
-        parts.append(f"mainstream: " + ", ".join(
-            f"{r.name} ({r.percentage:.1f}%)" for r in main) + "\n")
+            f"{alt} ({pct:.1f}%)" for _, alt, pct, _, _ in top if alt))
+        parts.append("mainstream: " + ", ".join(
+            f"{main} ({pct:.1f}%)" for _, _, _, main, pct in top if main)
+            + "\n")
     return "\n".join(parts)
 
 
@@ -71,7 +55,7 @@ def _section_users(data) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _section_temporal(data) -> str:
+def _section_temporal(data, table8) -> str:
     parts = ["## Temporal dynamics (Figures 5-7, Table 8)\n"]
     for name, dataset in (("Twitter", data.twitter),
                           ("six subreddits", data.reddit_six),
@@ -82,76 +66,39 @@ def _section_temporal(data) -> str:
                 f"- {name}: median repost lag {ecdf.median:.1f} h, "
                 f"{100 * temporal.repost_lag_day_inflection(ecdf):.0f}% "
                 "of reposts within 24 h")
-    pairs = {
-        "Reddit6 vs Twitter": (data.reddit_six, data.twitter),
-        "/pol/ vs Twitter": (data.pol, data.twitter),
-        "/pol/ vs Reddit6": (data.pol, data.reddit_six),
-    }
-    for process, dataset in data.extra_slices().items():
-        pairs[f"{process} vs Twitter"] = (dataset, data.twitter)
-    rows = temporal.faster_platform_counts(pairs)
-    table = render_table(
-        ["Comparison", "News type", "#1 faster", "#2 faster"],
-        [[r.comparison, str(r.category), r.faster_on_1, r.faster_on_2]
-         for r in rows])
+    table = render_table(table8.columns, table8.rows)
     parts.append(f"\n```\n{table}\n```\n")
     return "\n".join(parts)
 
 
-def _section_sequences(data) -> str:
+def _section_sequences(table9, table10) -> str:
     parts = ["## Appearance sequences (Tables 9-10)\n"]
-    slices = data.sequence_slices()
-    for category in (ALT, MAIN):
-        hops = sequences.first_hop_distribution(slices, category)
-        singles = sum(r.percentage for r in hops if "only" in r.sequence)
-        triples = sequences.triplet_distribution(slices, category)
-        top = sorted(triples, key=lambda r: -r.count)[:3]
+    # Each category's (count, %) column pair; a zero count marks a
+    # sequence seen only in the other category.
+    for category, column in ((ALT, 1), (MAIN, 3)):
+        singles = sum(row[column + 1] for row in table9.rows
+                      if row[column] and "only" in row[0])
+        triples = [row for row in table10.rows if row[column]]
+        top = sorted(triples, key=lambda row: -row[column])[:3]
         parts.append(
             f"- {category.value}: {singles:.0f}% single-platform; "
             "top triplets: " + ", ".join(
-                f"{r.sequence} ({r.percentage:.0f}%)" for r in top))
+                f"{row[0]} ({row[column + 1]:.0f}%)" for row in top))
     return "\n".join(parts) + "\n"
 
 
-def _section_influence(data, max_urls: int, seed: int,
-                       n_jobs: int = 1, corpus=None, result=None,
-                       ecosystem=None) -> str:
-    """Influence section; ``corpus``/``result`` skip recomputation.
+def _section_influence(n_urls: int, result, aggregate) -> str:
+    """Section 5 lines from the corpus size, fits and Figure 10 aggregate.
 
-    A :class:`~repro.api.study.Study` passes its cached corpus and fits
-    so the report is a pure rendering step; the legacy path (both
-    ``None``) selects and fits here, exactly as before.  The section
-    adapts to the K processes of ``result`` (or of ``ecosystem`` when
-    fitting here), so K-platform scenarios render correctly.
+    ``aggregate`` is ``None`` when the corpus lacks a news category.
+    The lines adapt to the K processes of ``result``, so K-platform
+    scenarios render correctly.
     """
-    from ..core import aggregate_weights, fit_corpus, influence_percentages
-    from ..core.influence import select_urls, trim_gap_urls
-    from ..pipeline import influence_cascades, influence_corpus
-
-    if corpus is None:
-        if ecosystem is None:
-            corpus = influence_corpus(data, max_urls=max_urls)
-        else:
-            from ..config import TWITTER_GAPS
-            corpus = trim_gap_urls(
-                select_urls(influence_cascades(data, ecosystem=ecosystem),
-                            processes=ecosystem.processes,
-                            require_all=ecosystem.require_all,
-                            require_any=ecosystem.require_any),
-                TWITTER_GAPS, 0.10)[:max_urls]
-    if len(corpus) < 4:
+    if n_urls < 4:
         return ("## Influence estimation (Section 5)\n\n"
                 "*Too few URLs qualify for the Hawkes corpus.*\n")
-    if result is None:
-        config = HawkesConfig(gibbs_iterations=30, gibbs_burn_in=10)
-        processes = (ecosystem.processes if ecosystem is not None
-                     else HAWKES_PROCESSES)
-        result = fit_corpus(corpus, config, processes=processes,
-                            rng=np.random.default_rng(seed), n_jobs=n_jobs)
-    parts = [f"## Influence estimation (Section 5, {len(corpus)} URLs)\n"]
-    try:
-        agg = aggregate_weights(result)
-    except ValueError:
+    parts = [f"## Influence estimation (Section 5, {n_urls} URLs)\n"]
+    if aggregate is None:
         return parts[0] + "\n*Corpus lacks one of the news categories.*\n"
     processes = result.processes
     k = len(processes)
@@ -167,38 +114,30 @@ def _section_influence(data, max_urls: int, seed: int,
             break
         if name != dest and name not in sources:
             sources.append(name)
-    change = agg.percent_change[twitter, twitter]
+    change = aggregate.percent_change[twitter, twitter]
     # NaN marks cells where the mainstream mean is zero, so the percent
     # change is undefined — render "n/a", never "+nan%".
     change_text = f"{change:+.1f}%" if np.isfinite(change) else "n/a"
     parts.append(
-        f"- W({dest}→{dest}): {agg.mean_alternative[twitter, twitter]:.4f} "
-        f"alternative vs {agg.mean_mainstream[twitter, twitter]:.4f} "
+        f"- W({dest}→{dest}): "
+        f"{aggregate.mean_alternative[twitter, twitter]:.4f} "
+        f"alternative vs {aggregate.mean_mainstream[twitter, twitter]:.4f} "
         f"mainstream ({change_text})")
     pct = influence_percentages(result, ALT)
     parts.append(
         f"- influence on {dest}'s alternative events: " + ", ".join(
             f"{name} {pct[processes.index(name), twitter]:.2f}%"
             for name in sources))
-    stars = agg.significance_stars()
+    stars = aggregate.significance_stars()
     significant = int((stars != "").sum())
     parts.append(f"- {significant}/{k * k} weight cells differ "
                  "significantly between categories (KS)")
     return "\n".join(parts) + "\n"
 
 
-def generate_study_report(data, include_influence: bool = True,
-                          max_urls: int = 120, seed: int = 0,
-                          n_jobs: int = 1, corpus=None,
-                          influence_result=None, ecosystem=None) -> str:
-    """Render the full study over one :class:`CollectedData`.
-
-    ``corpus``/``influence_result`` inject precomputed Section-5
-    artifacts (the :meth:`repro.Study.report` path); when omitted the
-    influence section computes them itself with ``max_urls``/``seed``.
-    ``ecosystem`` routes a K-platform scenario's processes and
-    selection rule through that fallback; the paper's apply otherwise.
-    """
+def generate_study_report(study, include_influence: bool = True) -> str:
+    """Render the full report from a :class:`~repro.api.Study`'s stages."""
+    data = study.data
     extra_counts = "".join(
         f", {len(dataset)} {process}"
         for process, dataset in data.extra_slices().items())
@@ -207,26 +146,21 @@ def generate_study_report(data, include_influence: bool = True,
         f"Window: {STUDY_START} .. {STUDY_END} (epoch seconds); "
         f"records: {len(data.twitter)} Twitter, {len(data.reddit)} "
         f"Reddit, {len(data.fourchan)} 4chan{extra_counts}.\n",
-        _section_overview(data),
-        _section_domains(data),
+        _section_overview(study.table(2)),
+        _section_domains((("Twitter", study.table(6)),
+                          ("six subreddits", study.table(5)),
+                          ("/pol/", study.table(7)))),
         _section_users(data),
-        _section_temporal(data),
-        _section_sequences(data),
+        _section_temporal(data, study.table(8)),
+        _section_sequences(study.table(9), study.table(10)),
     ]
     if include_influence:
-        sections.append(_section_influence(data, max_urls, seed, n_jobs,
-                                           corpus=corpus,
-                                           result=influence_result,
-                                           ecosystem=ecosystem))
+        n_urls, result, aggregate = len(study.corpus), None, None
+        if n_urls >= 4:
+            result = study.influence()
+            try:
+                aggregate = study.aggregate()
+            except ValueError:  # a news category has no fitted URLs
+                pass
+        sections.append(_section_influence(n_urls, result, aggregate))
     return "\n".join(sections)
-
-
-def write_study_report(data, path: str | Path,
-                       include_influence: bool = True,
-                       max_urls: int = 120, seed: int = 0,
-                       n_jobs: int = 1) -> Path:
-    path = Path(path)
-    path.write_text(generate_study_report(
-        data, include_influence=include_influence, max_urls=max_urls,
-        seed=seed, n_jobs=n_jobs), encoding="utf-8")
-    return path

@@ -1,5 +1,6 @@
-"""Study session tests: golden equivalence with the legacy pipeline,
-stage keys, and artifact-cache round trips (warm, disk, cross-process).
+"""Study session tests: golden equivalence with direct core calls and
+committed report bytes, stage keys, and artifact-cache round trips
+(warm, disk, cross-process).
 """
 
 import os
@@ -12,15 +13,15 @@ import pytest
 
 from repro.analysis import characterization as chz
 from repro.api import ArtifactStore, Study, build_table
-from repro.config import HawkesConfig
-from repro.core import fit_corpus
+from repro.config import TWITTER_GAPS, HawkesConfig
+from repro.core import fit_corpus, select_urls, trim_gap_urls
 from repro.news.domains import NewsCategory
-from repro.pipeline import influence_corpus
-from repro.reporting.study import generate_study_report
+from repro.pipeline import influence_cascades
 from repro.synthesis.world import WorldConfig
 
 GOLDEN_HAWKES = HawkesConfig(gibbs_iterations=30, gibbs_burn_in=10)
 GOLDEN_MAX_URLS = 16
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 #: Small enough to build in ~a second; used by the disk/cross-process
 #: tests that must construct worlds from scratch.
@@ -36,19 +37,22 @@ def api_study(collected):
 
 
 class TestGoldenEquivalence:
-    """Study products must be byte/bit-identical to the legacy path."""
+    """Study products pinned to direct core calls and committed goldens."""
+
+    @staticmethod
+    def _direct_corpus(collected):
+        return trim_gap_urls(select_urls(influence_cascades(collected)),
+                             TWITTER_GAPS, 0.10)[:GOLDEN_MAX_URLS]
 
     def test_corpus_matches_pipeline(self, api_study, collected):
-        legacy = influence_corpus(collected, max_urls=GOLDEN_MAX_URLS)
-        assert api_study.corpus == legacy
+        assert api_study.corpus == self._direct_corpus(collected)
 
     def test_fits_bit_identical(self, api_study, collected):
-        legacy = fit_corpus(
-            influence_corpus(collected, max_urls=GOLDEN_MAX_URLS),
-            GOLDEN_HAWKES, rng=np.random.default_rng(0))
+        direct = fit_corpus(self._direct_corpus(collected), GOLDEN_HAWKES,
+                            rng=np.random.default_rng(0))
         result = api_study.influence()
-        assert len(result.fits) == len(legacy.fits)
-        for ours, theirs in zip(result.fits, legacy.fits):
+        assert len(result.fits) == len(direct.fits)
+        for ours, theirs in zip(result.fits, direct.fits):
             assert ours.url == theirs.url
             assert np.array_equal(ours.weights, theirs.weights)
             assert np.array_equal(ours.background, theirs.background)
@@ -76,25 +80,16 @@ class TestGoldenEquivalence:
         direct = build_table(11, api_study.data, api_study.influence())
         assert api_study.table(11).render() == direct.render()
 
-    def test_report_bytes_match_legacy(self, api_study, collected):
-        legacy = generate_study_report(
-            collected, include_influence=True, max_urls=GOLDEN_MAX_URLS,
-            seed=0)
-        assert api_study.report() == legacy
+    def test_report_bytes_match_legacy(self, api_study):
+        # tests/golden/ holds the reference report bytes; an output
+        # change must update them on purpose.
+        golden = GOLDEN_DIR / "study_report.md"
+        assert api_study.report() == golden.read_text(encoding="utf-8")
 
-    def test_report_without_influence_matches(self, api_study, collected):
-        legacy = generate_study_report(collected, include_influence=False)
-        assert api_study.report(include_influence=False) == legacy
-
-    def test_deprecated_shims_delegate(self, collected):
-        from repro.pipeline import fit_influence
-        with pytest.warns(DeprecationWarning):
-            shimmed = fit_influence(collected, GOLDEN_HAWKES, rng=0,
-                                    max_urls=4)
-        legacy = fit_corpus(influence_corpus(collected, max_urls=4),
-                            GOLDEN_HAWKES, rng=0)
-        for ours, theirs in zip(shimmed.fits, legacy.fits):
-            assert np.array_equal(ours.weights, theirs.weights)
+    def test_report_without_influence_matches(self, api_study):
+        golden = GOLDEN_DIR / "study_report_no_influence.md"
+        assert (api_study.report(include_influence=False)
+                == golden.read_text(encoding="utf-8"))
 
 
 class TestStageKeys:

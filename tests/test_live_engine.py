@@ -101,6 +101,18 @@ def test_refitter_runs_on_stream(small_world):
             assert np.all(fit.weights >= 0)
 
 
+def test_engine_hands_paper_ecosystem_to_refitter():
+    from repro.config import HAWKES_PROCESSES
+    from repro.platforms.registry import PAPER_ECOSYSTEM
+    refitter = WindowedHawkesRefitter()
+    assert refitter.ecosystem is PAPER_ECOSYSTEM
+    engine = LiveEngine(refitter=refitter)
+    assert engine.ecosystem is PAPER_ECOSYSTEM
+    assert refitter.ecosystem is PAPER_ECOSYSTEM
+    assert engine.cascades.processes == frozenset(HAWKES_PROCESSES)
+    assert engine.first_hops.slices == SEQUENCE_PLATFORMS
+
+
 def test_refit_traced_as_one_span_with_identical_result(
         live_engine, tmp_path, monkeypatch):
     import json

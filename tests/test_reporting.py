@@ -97,23 +97,30 @@ class TestInfluenceSectionRendering:
                           log_likelihood=-1.0)
         fits = [fit("a", NewsCategory.ALTERNATIVE, 0.4),
                 fit("m", NewsCategory.MAINSTREAM, twitter_main_mean)]
-        corpus = [object()] * 4  # only len() is used when result is given
-        return corpus, InfluenceResult(processes=HAWKES_PROCESSES,
-                                       fits=fits)
+        return InfluenceResult(processes=HAWKES_PROCESSES, fits=fits)
+
+    @classmethod
+    def _render(cls, twitter_main_mean):
+        from repro.core import aggregate_weights
+        from repro.reporting.study import _section_influence
+        result = cls._fake_influence(twitter_main_mean)
+        return _section_influence(4, result, aggregate_weights(result))
 
     def test_zero_mainstream_mean_renders_na(self):
-        from repro.reporting.study import _section_influence
-        corpus, result = self._fake_influence(twitter_main_mean=0.0)
-        text = _section_influence(None, max_urls=4, seed=0,
-                                  corpus=corpus, result=result)
+        text = self._render(twitter_main_mean=0.0)
         assert "(n/a)" in text
         assert "nan" not in text
         assert "inf%" not in text
 
     def test_finite_percent_change_still_rendered(self):
-        from repro.reporting.study import _section_influence
-        corpus, result = self._fake_influence(twitter_main_mean=0.2)
-        text = _section_influence(None, max_urls=4, seed=0,
-                                  corpus=corpus, result=result)
+        text = self._render(twitter_main_mean=0.2)
         assert "+100.0%" in text
         assert "n/a" not in text
+
+    def test_small_corpus_and_missing_category_notes(self):
+        from repro.reporting.study import _section_influence
+        assert "Too few URLs" in _section_influence(3, None, None)
+        result = self._fake_influence(twitter_main_mean=0.2)
+        text = _section_influence(5, result, None)
+        assert "(Section 5, 5 URLs)" in text
+        assert "Corpus lacks one of the news categories" in text

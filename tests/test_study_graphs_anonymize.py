@@ -10,18 +10,29 @@ from repro.collection.anonymize import (
     anonymize_record,
 )
 from repro.collection.store import Dataset, DatasetRecord, UrlOccurrence
-from repro.config import PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER
+from repro.api import Study
+from repro.config import (
+    HawkesConfig,
+    PLATFORM_POL,
+    PLATFORM_REDDIT,
+    PLATFORM_TWITTER,
+)
 from repro.news.domains import NewsCategory
-from repro.reporting.study import generate_study_report, write_study_report
+from repro.reporting.study import generate_study_report
 
 PLATFORMS = (PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER)
 
 
 class TestStudyReport:
     @pytest.fixture(scope="class")
-    def report(self, collected):
-        return generate_study_report(collected, include_influence=True,
-                                     max_urls=10, seed=1)
+    def study(self, collected):
+        return Study.from_data(collected, max_urls=10, fit_seed=1,
+                               hawkes=HawkesConfig(gibbs_iterations=30,
+                                                   gibbs_burn_in=10))
+
+    @pytest.fixture(scope="class")
+    def report(self, study):
+        return generate_study_report(study, include_influence=True)
 
     def test_contains_all_sections(self, report):
         for heading in ("Dataset overview", "Top domains",
@@ -34,16 +45,15 @@ class TestStudyReport:
         assert "Twitter" in report
         assert "W(Twitter→Twitter)" in report
 
-    def test_write_to_disk(self, collected, tmp_path):
-        path = write_study_report(collected, tmp_path / "report.md",
+    def test_write_to_disk(self, study, tmp_path):
+        path = study.write_report(tmp_path / "report.md",
                                   include_influence=False)
         content = path.read_text()
         assert content.startswith("# Web Centipede study report")
         assert "Influence estimation" not in content
 
-    def test_skip_influence_flag(self, collected):
-        report = generate_study_report(collected,
-                                       include_influence=False)
+    def test_skip_influence_flag(self, study):
+        report = generate_study_report(study, include_influence=False)
         assert "Influence estimation" not in report
 
 
