@@ -1,13 +1,9 @@
-"""Shared rendering helpers for the benchmark harness (not collected)."""
+"""Shared helpers for the benchmark harness (not collected)."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-from repro.analysis import characterization as chz
-from repro.news.domains import NewsCategory
-from repro.reporting import render_table
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -55,22 +51,3 @@ def write_bench_json(registry: dict, filename: str,
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
-
-
-def render_top_domains(dataset, title: str) -> tuple[str, list, list]:
-    """Render a Tables 5-7 style two-column top-20 domain table."""
-    alt = chz.top_domains(dataset, NewsCategory.ALTERNATIVE, 20)
-    main = chz.top_domains(dataset, NewsCategory.MAINSTREAM, 20)
-    width = max(len(alt), len(main))
-    rows = []
-    for i in range(width):
-        a = alt[i] if i < len(alt) else None
-        m = main[i] if i < len(main) else None
-        rows.append([
-            a.name if a else "", f"{a.percentage:.2f}%" if a else "",
-            m.name if m else "", f"{m.percentage:.2f}%" if m else "",
-        ])
-    text = render_table(
-        ["Domain (Alt.)", "(%)", "Domain (Main.)", "(%)"], rows,
-        title=title)
-    return text, alt, main

@@ -1,20 +1,19 @@
-"""Shared benchmark fixtures: one medium world, collected and fitted once.
+"""Shared benchmark fixtures: one medium-world ``Study``, computed once.
 
-Every bench regenerates one of the paper's tables or figures.  The
-rendered output is written to ``results/`` so EXPERIMENTS.md can quote
-paper-reported vs. measured values side by side.
+``bench_claims.py`` asserts every paper claim on ``bench_study`` and
+writes each table and figure to ``results/``, so EXPERIMENTS.md can
+quote paper-reported vs. measured values side by side; the ablation
+and diagnostics benches reuse its collected data and corpus.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import Study
 from repro.config import HawkesConfig
-from repro.core import fit_corpus
 from repro.synthesis.world import WorldConfig
 
 from _helpers import RESULTS_DIR  # noqa: E402 (pytest adds benchmarks/ to sys.path)
@@ -35,7 +34,7 @@ BENCH_HAWKES = HawkesConfig(gibbs_iterations=40, gibbs_burn_in=15)
 
 @pytest.fixture(scope="session")
 def bench_study():
-    return Study(world=BENCH_CONFIG,
+    return Study(world=BENCH_CONFIG, hawkes=BENCH_HAWKES, fit_seed=7,
                  trim_fraction=BENCH_HAWKES.gap_trim_fraction)
 
 
@@ -47,12 +46,6 @@ def bench_data(bench_study):
 @pytest.fixture(scope="session")
 def bench_corpus(bench_study):
     return bench_study.corpus
-
-
-@pytest.fixture(scope="session")
-def bench_fits(bench_corpus):
-    rng = np.random.default_rng(7)
-    return fit_corpus(bench_corpus, BENCH_HAWKES, rng=rng)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.influence import InfluenceResult, aggregate_weights
 from ..news.domains import NewsCategory
-from ..paper import EXPERIMENTS, Experiment
+from ..claims import BENCH_FILE, EXPERIMENTS, Experiment
 
 CONTENT_TYPE_JSON = "application/json; charset=utf-8"
 
@@ -61,9 +61,9 @@ def experiment_payload(experiment: Experiment) -> dict:
         "id": experiment.exp_id,
         "title": experiment.title,
         "paper_values": list(experiment.paper_values),
-        "shape_checks": list(experiment.shape_checks),
+        "shape_checks": [claim.text for claim in experiment.claims],
         "artifact": experiment.artifact,
-        "bench": experiment.bench,
+        "bench": BENCH_FILE,
         "modules": list(experiment.modules),
     }
 

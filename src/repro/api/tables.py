@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..analysis import characterization as chz
 from ..analysis import sequences, temporal
 from ..news.domains import NewsCategory
-from ..paper import by_id
+from ..claims import by_id
 from ..reporting.tables import render_table
 
 ALT = NewsCategory.ALTERNATIVE

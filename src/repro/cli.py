@@ -11,7 +11,7 @@ Usage::
     python -m repro world --seed 7 --out data/           # generate + crawl
     python -m repro live --seed 7                        # streaming engine
     python -m repro serve --port 8731                    # HTTP query service
-    python -m repro reproduce --table 4                  # one experiment
+    python -m repro reproduce "Table 4"                  # one experiment
     python -m repro experiments                          # EXPERIMENTS.md
     python -m repro list [--json]                        # experiment index
     python -m repro scenarios list [--json]              # scenario presets
@@ -35,7 +35,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .paper import EXPERIMENTS, by_id
+from .claims import BENCH_FILE, EXPERIMENTS, by_id
 
 
 def _configure_logging(verbosity: int) -> None:
@@ -343,36 +343,27 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """Run one experiment's benchmark via pytest."""
+    """Run one experiment's claims benchmark via pytest."""
     try:
         experiment = by_id(args.experiment)
     except KeyError:
-        matches = [e for e in EXPERIMENTS
-                   if args.experiment.lower() in e.exp_id.lower()]
-        if len(matches) != 1:
-            print(f"unknown experiment {args.experiment!r}; "
-                  "try `python -m repro list`", file=sys.stderr)
-            return 2
-        experiment = matches[0]
+        print(f"unknown experiment {args.experiment!r}; "
+              "try `python -m repro list`", file=sys.stderr)
+        return 2
     import pytest
-    print(f"running {experiment.bench} ...")
-    return pytest.main([experiment.bench, "--benchmark-only", "-q"])
+    print(f"running {BENCH_FILE} -k {experiment.slug} ...")
+    return pytest.main([BENCH_FILE, "-k", experiment.slug,
+                        "--benchmark-only", "-q"])
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Generate a world and run every paper-claim shape check."""
-    from .validation import (
-        summarize_checks,
-        validate_collected,
-        validate_influence,
-    )
+    """Generate a world and check every paper claim that applies to it."""
+    from .claims import format_results, run_claims
     study = _study(args)
-    checks = validate_collected(study.data)
-    if not args.skip_influence:
-        checks.extend(validate_influence(study.influence()))
-    print(summarize_checks(checks))
+    results = run_claims(study, include_fits=not args.skip_influence)
+    print(format_results(results))
     _publish_metrics(study)
-    return 0 if all(c.passed for c in checks) else 1
+    return 0 if all(r.passed is not False for r in results) else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -550,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser("reproduce", help=cmd_reproduce.__doc__)
     reproduce.add_argument("experiment",
-                           help='e.g. "Table 4" or "Figure 10"')
+                           help='e.g. "Table 4", "Figure 10" or "fig 10"')
     reproduce.set_defaults(func=cmd_reproduce)
 
     validate = sub.add_parser("validate", help=cmd_validate.__doc__)

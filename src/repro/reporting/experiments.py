@@ -1,8 +1,8 @@
 """EXPERIMENTS.md generation: paper-reported vs measured, per experiment.
 
 Reads the artifacts the benchmark harness writes under ``results/`` and
-the paper-value registry in :mod:`repro.paper`, and emits a single
-markdown report.  Regenerate with::
+the experiment and claim registry in :mod:`repro.claims`, and emits a
+single markdown report.  Regenerate with::
 
     python -m repro experiments
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..paper import EXPERIMENTS, Experiment
+from ..claims import BENCH_FILE, EXPERIMENTS, Experiment
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -26,8 +26,10 @@ DESIGN.md — the ground truth of the Section-5 experiment *is* the
 paper's own Figure-10/Table-11 parameters.  Absolute counts therefore
 scale with the configured world size (~1/25 of the paper's corpus by
 default); what must match is the *shape*: who wins, by roughly what
-factor, and where crossovers fall.  Every shape expectation below is
-asserted programmatically by the corresponding benchmark.
+factor, and where crossovers fall.  Every claim below is one predicate
+in `repro.claims`: `python -m repro validate` checks the claims that
+apply to a scenario, and `benchmarks/bench_claims.py` asserts all of
+them on the benchmark world.
 
 Regenerate all artifacts with::
 
@@ -39,7 +41,7 @@ Regenerate all artifacts with::
 def render_experiment(experiment: Experiment,
                       results_dir: Path) -> str:
     lines = [f"## {experiment.exp_id} — {experiment.title}", ""]
-    lines.append(f"*Benchmark:* `{experiment.bench}`  ")
+    lines.append(f"*Benchmark:* `{BENCH_FILE} -k {experiment.slug}`  ")
     lines.append("*Modules:* " + ", ".join(
         f"`{m}`" for m in experiment.modules))
     lines.append("")
@@ -47,9 +49,10 @@ def render_experiment(experiment: Experiment,
     for value in experiment.paper_values:
         lines.append(f"- {value}")
     lines.append("")
-    lines.append("**Shape checks (asserted by the bench):**")
-    for check in experiment.shape_checks:
-        lines.append(f"- {check}")
+    lines.append("**Claims (checked by `repro validate`, asserted by the "
+                 "benchmark):**")
+    for claim in experiment.claims:
+        lines.append(f"- `{claim.claim_id}`: {claim.text}")
     lines.append("")
     artifact = results_dir / experiment.artifact
     if artifact.exists():
@@ -105,13 +108,12 @@ def generate_markdown(results_dir: str | Path = "results") -> str:
     results_dir = Path(results_dir)
     sections = [HEADER]
     sections.append("## Index\n")
-    sections.append("| Experiment | Title | Benchmark | Artifact |")
+    sections.append("| Experiment | Title | Claims | Artifact |")
     sections.append("|---|---|---|---|")
     for experiment in EXPERIMENTS:
         sections.append(
             f"| {experiment.exp_id} | {experiment.title} | "
-            f"`{experiment.bench.split('/')[-1]}` | "
-            f"`{experiment.artifact}` |")
+            f"{len(experiment.claims)} | `{experiment.artifact}` |")
     sections.append("")
     for experiment in EXPERIMENTS:
         sections.append(render_experiment(experiment, results_dir))

@@ -15,6 +15,7 @@ from repro.api import (
     influence_payload,
     payload_key,
 )
+from repro.claims import BENCH_FILE, EXPERIMENTS
 from repro.config import HAWKES_PROCESSES, HawkesConfig
 from repro.live import LiveEngine
 
@@ -57,6 +58,15 @@ class TestRoutes:
         assert status == 200
         assert json.loads(body) == json.loads(
             json.dumps(experiments_payload()))
+
+    def test_experiments_list_registry_claims(self, service):
+        _, _, body = _get(service, "/experiments")
+        entries = json.loads(body)["experiments"]
+        assert [e["id"] for e in entries] == [e.exp_id for e in EXPERIMENTS]
+        for entry, experiment in zip(entries, EXPERIMENTS):
+            assert entry["shape_checks"] == [c.text
+                                             for c in experiment.claims]
+            assert entry["bench"] == BENCH_FILE
 
     def test_stages_lists_keys(self, service):
         status, _, body = _get(service, "/stages")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.paper import EXPERIMENTS
+from repro.claims import EXPERIMENTS
 from repro.reporting.experiments import (
     generate_markdown,
     render_experiment,
@@ -31,6 +31,12 @@ class TestRenderExperiment:
         text = render_experiment(experiment, tmp_path)
         for value in experiment.paper_values:
             assert value in text
+
+    def test_claims_listed(self, tmp_path):
+        for experiment in EXPERIMENTS:
+            text = render_experiment(experiment, tmp_path)
+            for claim in experiment.claims:
+                assert f"`{claim.claim_id}`: {claim.text}" in text
 
 
 class TestGenerateMarkdown:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import Study, StudyService
 from repro.api.serialize import influence_payload, scenarios_payload
+from repro.claims import run_claims
 from repro.config import HAWKES_PROCESSES, HawkesConfig
 from repro.core.influence import UrlCascade, select_urls
 from repro.live import LiveEngine, RefitPolicy, WindowedHawkesRefitter
@@ -275,6 +276,22 @@ class TestGabEndToEnd:
             present = {process for _, process in cascade.events}
             assert {"Twitter", "/pol/"} <= present
             assert present & {"Reddit", "Gab"}
+
+    def test_claims_scope_to_the_ecosystem(self, gab_study, gab_scenario):
+        # K=4: claims naming The_Donald or ranking across the paper's
+        # eight processes do not apply; every other claim runs cleanly.
+        study = Study(scenario=gab_scenario, max_urls=8,
+                      store=gab_study.store)
+        assert study.method == "em"
+        results = run_claims(study)
+        processes = set(study.ecosystem.processes)
+        for result in results:
+            outside = not set(result.claim.processes) <= processes
+            assert (result.passed is None) == outside, result
+            assert not result.detail.startswith("error:"), result
+        not_applicable = {r.claim.claim_id for r in results
+                          if r.passed is None}
+        assert "table11.twitter-top-background" in not_applicable
 
 
 class TestGabService:

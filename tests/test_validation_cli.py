@@ -1,18 +1,24 @@
-"""Tests for the validation checklist and the CLI."""
+"""Tests for the paper-claim registry and the CLI."""
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 
+from repro.api import Study
+from repro.claims import (
+    BENCH_FILE,
+    CLAIMS,
+    EXPERIMENTS,
+    ClaimResult,
+    by_id,
+    format_results,
+    run_claims,
+)
 from repro.cli import build_parser, main
 from repro.config import HawkesConfig
-from repro.core import fit_corpus, select_urls
-from repro.paper import EXPERIMENTS, by_id
-from repro.validation import (
-    ShapeCheck,
-    summarize_checks,
-    validate_collected,
-    validate_influence,
-)
+from repro.platforms.registry import PAPER_ECOSYSTEM
+
+GOLDEN_CLAIMS = Path(__file__).parent / "golden" / "claims_small.txt"
 
 
 class TestPaperRegistry:
@@ -31,35 +37,57 @@ class TestPaperRegistry:
         with pytest.raises(KeyError):
             by_id("Table 99")
 
-    def test_every_experiment_has_bench_and_artifact(self):
+    def test_by_id_abbreviations(self):
+        assert by_id("fig 10").exp_id == "Figure 10"
+        assert by_id("tab 1").exp_id == "Table 1"
+        for query in ("fig", "Table 1 extra", "10", " 10"):
+            with pytest.raises(KeyError):
+                by_id(query)
+
+    def test_every_experiment_has_claims_and_artifact(self):
         for experiment in EXPERIMENTS:
-            assert experiment.bench.startswith("benchmarks/bench_")
-            assert experiment.artifact
+            assert experiment.claims
+            assert experiment.artifact.startswith(experiment.slug + "_")
             assert experiment.paper_values
-            assert experiment.shape_checks
+
+    def test_claim_ids_unique_and_prefixed(self):
+        ids = [claim.claim_id for claim in CLAIMS]
+        assert len(ids) == len(set(ids))
+        for claim in CLAIMS:
+            assert claim.claim_id.startswith(by_id(claim.experiment).slug
+                                             + ".")
+            assert claim.text
+            assert set(claim.processes) <= set(PAPER_ECOSYSTEM.processes)
+
+
+@pytest.fixture(scope="module")
+def small_study(collected):
+    return Study.from_data(
+        collected, hawkes=HawkesConfig(gibbs_iterations=20, gibbs_burn_in=6),
+        fit_seed=0, max_urls=16)
 
 
 class TestValidation:
-    def test_collected_checks_run(self, collected):
-        checks = validate_collected(collected)
-        assert len(checks) >= 8
-        # the small world should reproduce most claims
-        passed = sum(c.passed for c in checks)
-        assert passed >= len(checks) - 2
+    def test_registry_matches_golden(self, small_study):
+        """Every claim runs on the small world; PASS/FAIL pinned per id."""
+        results = run_claims(small_study)
+        assert [r.claim for r in results] == list(CLAIMS)
+        for result in results:
+            assert result.passed is not None, result.claim.claim_id
+            assert not result.detail.startswith("error:"), result
+        observed = "".join(f"{r.claim.claim_id} {r.status}\n"
+                           for r in results)
+        assert observed == GOLDEN_CLAIMS.read_text(encoding="utf-8")
 
-    def test_influence_checks_run(self, cascades):
-        corpus = select_urls(cascades)[:16]
-        result = fit_corpus(
-            corpus, HawkesConfig(gibbs_iterations=20, gibbs_burn_in=6),
-            rng=np.random.default_rng(0))
-        checks = validate_influence(result)
-        assert len(checks) >= 5
-        for check in checks:
-            assert isinstance(check, ShapeCheck)
-            assert check.detail
+    def test_skip_fits_drops_fit_experiments(self, small_study):
+        results = run_claims(small_study, include_fits=False)
+        experiments = {r.claim.experiment for r in results}
+        assert experiments == {e.exp_id for e in EXPERIMENTS
+                               if not e.needs_fits}
 
     def test_checks_never_crash(self):
         """A degenerate dataset yields failing checks, not exceptions."""
+        from repro.api.tables import build_table
         from repro.collection.store import Dataset
         from repro.collection.recrawl import CategoryRecrawl, RecrawlStats
 
@@ -70,6 +98,7 @@ class TestValidation:
             reddit_six = Dataset()
             reddit_other = Dataset()
             pol = Dataset()
+            fourchan_other = Dataset()
             recrawl = RecrawlStats(alternative=CategoryRecrawl(),
                                    mainstream=CategoryRecrawl())
 
@@ -77,16 +106,43 @@ class TestValidation:
                 return {"/pol/": Dataset(), "Reddit": Dataset(),
                         "Twitter": Dataset()}
 
-        checks = validate_collected(Empty())
-        assert all(isinstance(c, ShapeCheck) for c in checks)
+            def url_domains(self):
+                return {}
+
+            def extra_slices(self):
+                return {}
+
+        class EmptyStudy:
+            ecosystem = PAPER_ECOSYSTEM
+            data = Empty()
+
+            def table(self, table_id):
+                return build_table(table_id, self.data)
+
+            def corpus_summary(self):
+                raise ValueError("no fits")
+
+            def aggregate(self):
+                raise ValueError("no fits")
+
+            def percentages(self, category):
+                raise ValueError("no fits")
+
+        results = run_claims(EmptyStudy())
+        assert len(results) == len(CLAIMS)
+        assert all(isinstance(r, ClaimResult) and r.detail for r in results)
+        assert not all(r.passed for r in results)
 
     def test_summary_format(self):
-        checks = [ShapeCheck("a claim", "Table 1", True, "ok"),
-                  ShapeCheck("another", "Figure 2", False, "nope")]
-        text = summarize_checks(checks)
-        assert "1/2 claims reproduced" in text
+        claim = CLAIMS[0]
+        text = format_results([ClaimResult(claim, True, "ok"),
+                               ClaimResult(claim, False, "nope"),
+                               ClaimResult(claim, None, "needs processes")])
+        assert text.startswith("1/2 claims reproduced; 1 do not apply")
         assert "[PASS]" in text
         assert "[FAIL]" in text
+        assert "[N/A]" in text
+        assert claim.claim_id in text
 
 
 class TestCli:
@@ -133,3 +189,13 @@ class TestCli:
 
     def test_reproduce_unknown(self, capsys):
         assert main(["reproduce", "Table 99"]) == 2
+
+    @pytest.mark.parametrize("query, slug", [("Table 9", "table09"),
+                                             ("fig 10", "fig10")])
+    def test_reproduce_runs_one_claims_case(self, monkeypatch, capsys,
+                                            query, slug):
+        calls = []
+        monkeypatch.setattr(pytest, "main",
+                            lambda argv: calls.append(argv) or 0)
+        assert main(["reproduce", query]) == 0
+        assert calls == [[BENCH_FILE, "-k", slug, "--benchmark-only", "-q"]]
