@@ -11,6 +11,7 @@ from repro.claims import (
     EXPERIMENTS,
     ClaimResult,
     by_id,
+    evaluate,
     format_results,
     run_claims,
 )
@@ -19,6 +20,15 @@ from repro.config import HawkesConfig
 from repro.platforms.registry import PAPER_ECOSYSTEM
 
 GOLDEN_CLAIMS = Path(__file__).parent / "golden" / "claims_small.txt"
+
+
+def _assert_golden(results):
+    """Each result ran cleanly and has the status pinned for its id."""
+    golden = dict(line.split() for line in
+                  GOLDEN_CLAIMS.read_text(encoding="utf-8").splitlines())
+    for result in results:
+        assert not result.detail.startswith("error:"), result
+        assert result.status == golden[result.claim.claim_id], result
 
 
 class TestPaperRegistry:
@@ -78,6 +88,20 @@ class TestValidation:
         observed = "".join(f"{r.claim.claim_id} {r.status}\n"
                            for r in results)
         assert observed == GOLDEN_CLAIMS.read_text(encoding="utf-8")
+
+    def test_collected_checks_run(self, small_study):
+        """The dataset claims (Tables 1-10, Figures 1-9) match the golden."""
+        results = run_claims(small_study, include_fits=False)
+        assert results
+        _assert_golden(results)
+
+    def test_influence_checks_run(self, small_study):
+        """The Hawkes-fit claims (Table 11, Figures 10-11) match the golden."""
+        results = [evaluate(claim, small_study) for claim in CLAIMS
+                   if by_id(claim.experiment).needs_fits]
+        assert {r.claim.experiment for r in results} == {
+            e.exp_id for e in EXPERIMENTS if e.needs_fits}
+        _assert_golden(results)
 
     def test_skip_fits_drops_fit_experiments(self, small_study):
         results = run_claims(small_study, include_fits=False)
