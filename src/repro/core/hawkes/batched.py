@@ -29,14 +29,18 @@ Equivalence contract
 Within one cascade, the E-step reproduces :func:`~.inference.fit_em`'s
 floating-point evaluation order exactly (same ``count * weight * pmf``
 products, same ``np.add.at``/``reduceat`` accumulation order).  The
-exposure and likelihood reductions associate differently (bucket-level
+exposure and likelihood reductions associate differently: bucket-level
 closed forms replace per-lag cumsums over the expanded ``(K, K, D)``
-PMF, which would not fit in memory with a cascade axis), so batched
-results match the per-URL golden path to floating-point *tolerance*,
-not bit for bit — pinned by ``tests/test_batched_equivalence.py``.
-Cascades never interact, so a cascade's fitted parameters are
-bit-identical for every batch composition, worker count, and chunk
-size.
+PMF, which would not fit in memory with a cascade axis.  Batched
+results therefore match the per-URL EM path to floating-point
+*tolerance*, not bit for bit — pinned by
+``tests/test_batched_equivalence.py``.  The closed forms (candidate
+values, truncation CDF, exposure) live in
+:class:`~.kernels.BucketKernels` and are shared with per-URL Gibbs,
+which runs every sweep in bucket space; per-URL EM alone keeps the
+per-lag kernels.  Cascades never interact, so a cascade's fitted
+parameters are bit-identical for every batch composition, worker
+count, and chunk size.
 
 Convergence uses per-cascade freeze masks: the iteration a cascade's
 relative log-likelihood delta drops below ``tol`` — exactly when
@@ -57,7 +61,7 @@ from ...obs import DEFAULT_COUNT_BUCKETS, get_registry
 from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
-from .kernels import segment_ranges
+from .kernels import BucketKernels, segment_ranges
 from .model import HawkesParams
 
 #: Parameter floor shared with the per-URL MAP updates.
@@ -117,15 +121,17 @@ class PackedCascades:
         return len(self.bins)
 
 
-class BatchedParentStructure:
+class BatchedParentStructure(BucketKernels):
     """Candidate-parent arrays for every entry of a packed batch.
 
     The batched analogue of :class:`~.kernels.ParentStructure`: one
     candidate enumeration over the packed global bins covers every
     cascade, and the precomputed gather indices target raveled
     ``(C, K, K)`` / ``(C, K, K, B)`` parameter arrays so per-sweep
-    work is three flat gathers, two products, and sequential
-    scatter-adds — for the whole batch at once.
+    work is flat gathers, products, and sequential scatter-adds — for
+    the whole batch at once.  The bucket-space kernels (candidate
+    values, truncation CDF, exposure) are those of
+    :class:`~.kernels.BucketKernels`, shared with per-URL Gibbs.
     """
 
     def __init__(self, packed: PackedCascades, basis: LagBasis) -> None:
@@ -146,71 +152,15 @@ class BatchedParentStructure:
         self.flat_cascade = np.repeat(packed.cascade_of, sizes)
         self._pair = (self.flat_cascade * k + self.flat_src) * k \
             + self.flat_dst
-        self._bucket_index = (self._pair * basis.n_buckets
-                              + self.flat_bucket)
-        self._bucket_size = basis.bucket_sizes[self.flat_bucket].astype(
-            np.float64)
         #: Raveled (C, K) cell of each entry: cascade * K + process.
         self.entry_cell = packed.cascade_of * k + packed.processes
-        # -- truncated-exposure precomputation (window-end effects) ------
         local_bins = packed.bins - packed.bin_offsets[packed.cascade_of]
         remaining = packed.n_bins[packed.cascade_of] - 1 - local_bins
-        capped = np.minimum(remaining, basis.max_lag)
-        valid = capped > 0
-        self.v_cascade = packed.cascade_of[valid]
-        self.v_src = packed.processes[valid]
-        self.v_cnt = packed.counts[valid]
-        cap = capped[valid]
-        self.v_bucket = basis.bucket_of[cap - 1]
-        lags_below = np.concatenate(
-            [[0], np.cumsum(basis.bucket_sizes)])[self.v_bucket]
-        # Fraction of the cap bucket's mass inside the truncation window.
-        self.v_frac = ((cap - lags_below)
-                       / basis.bucket_sizes[self.v_bucket])
-
-    def candidate_values(self, weights_flat: np.ndarray,
-                         buckets_flat: np.ndarray) -> np.ndarray:
-        """``count * W[c, src, dst] * pmf[c, src, dst, lag - 1]`` for
-        every candidate, as flat gathers; the per-lag PMF value is the
-        bucket probability spread uniformly over the bucket's lags.
-        """
-        if not len(self._pair):
-            return np.empty(0, dtype=np.float64)
-        return (self.flat_cnt * weights_flat[self._pair]
-                * (buckets_flat[self._bucket_index] / self._bucket_size))
-
-    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
-        """Per-entry candidate-mass totals, ``(n_entries,)``."""
-        if not len(flat_vals):
-            return np.zeros(len(self.packed))
-        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
-                               self.offsets[:-1])
-        sums[self.sizes == 0] = 0.0
-        return sums
-
-    def truncation_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
-        """Lag-CDF rows ``cdf[c, src, :, cap - 1]`` per valid entry.
-
-        ``(n_valid, K)``: full buckets below the cap bucket plus the
-        covered fraction of the cap bucket — the bucket-level closed
-        form of the per-lag cumsum the per-URL kernels use.
-        """
-        below = np.zeros_like(buckets)
-        np.cumsum(buckets[..., :-1], axis=3, out=below[..., 1:])
-        return (below[self.v_cascade, self.v_src, :, self.v_bucket]
-                + self.v_frac[:, None]
-                * buckets[self.v_cascade, self.v_src, :, self.v_bucket])
-
-    def exposure(self, buckets: np.ndarray) -> np.ndarray:
-        """Truncated exposure ``E[c, i, j]`` for the whole batch."""
-        packed = self.packed
-        out = np.zeros((packed.n_cascades, packed.n_processes,
-                        packed.n_processes))
-        if len(self.v_cascade):
-            rows = self.truncation_cdf_rows(buckets)
-            np.add.at(out, (self.v_cascade, self.v_src),
-                      self.v_cnt[:, None] * rows)
-        return out
+        self._init_bucket_space(
+            basis, self.entry_cell, packed.counts,
+            np.minimum(remaining, basis.max_lag),
+            (packed.n_cascades, k, k))
+        self.v_cascade = self.v_row // k
 
 
 @dataclass(frozen=True)
@@ -340,8 +290,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         iterations_run = iteration + 1
         phase_start = perf_counter()
         # -- E-step: responsibilities over the whole batch ----------------
-        flat_vals = structure.candidate_values(weights.reshape(-1),
-                                               buckets.reshape(-1))
+        flat_vals = structure.candidate_values(weights, buckets)
         seg_sums = structure.segment_sums(flat_vals)
         entry_bg = background.reshape(-1)[entry_cell]
         totals = entry_bg + seg_sums
@@ -365,7 +314,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         new_background = np.maximum(
             (priors.background_shape - 1.0 + z_background)
             / bg_denominator, _EPS)
-        exposure = structure.exposure(buckets)
+        exposure = structure.bucket_exposure(buckets)
         new_weights = np.maximum(
             (priors.weight_shape - 1.0 + z_weight)
             / (priors.weight_rate + exposure), 0.0)
@@ -376,8 +325,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         updates_s += perf_counter() - phase_start
         # -- log-likelihood of the updated parameters ----------------------
         phase_start = perf_counter()
-        vals = structure.candidate_values(new_weights.reshape(-1),
-                                          new_buckets.reshape(-1))
+        vals = structure.candidate_values(new_weights, new_buckets)
         rates = new_background.reshape(-1)[entry_cell] \
             + structure.segment_sums(vals)
         log_terms = np.zeros(n_casc)
@@ -392,8 +340,8 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         integral = (new_background * packed.n_bins[:, None]).sum(axis=1)
         if len(structure.v_cascade):
             cdf_rows = structure.truncation_cdf_rows(new_buckets)
-            weight_rows = new_weights[structure.v_cascade,
-                                      structure.v_src, :]
+            weight_rows = new_weights.reshape(-1, k_procs)[
+                structure.v_row]
             np.add.at(integral, structure.v_cascade,
                       structure.v_cnt
                       * (cdf_rows * weight_rows).sum(axis=1))

@@ -13,12 +13,17 @@ Two fitters with the same interface:
 
 Both fitters run on the flat segment kernels of :mod:`.kernels`: parent
 candidates are enumerated once per ``(events, basis)`` (and cached on
-the events object), Gibbs attribution is a single bulk uniform pass per
-sweep, and every responsibility/exposure accumulation is a vectorized
-scatter-add.  EM is bit-identical to the historical per-event loops;
-the Gibbs sampler keeps seed-determinism but draws its randomness in a
-different order than the historical per-event ``multinomial`` sampler
-(the sampled distribution is unchanged).
+the events object), and every responsibility/exposure accumulation is
+vectorized.  Gibbs sweeps run in *bucket space*: candidate values
+gather ``buckets / bucket_size``, the exposure uses the closed-form
+truncation CDF, and the attribution tallies are ``np.bincount`` sums,
+so no ``(K, K, max_lag)`` array is built inside the loop and
+``basis.expand`` runs once, for the returned impulse.  Attribution is a
+single bulk uniform pass per sweep.  The sampler keeps seed-determinism
+but draws its randomness in a different order than the historical
+per-event ``multinomial`` sampler (the sampled distribution is
+unchanged).  EM keeps the per-lag kernels over the expanded PMF and is
+bit-identical to the historical per-event loops.
 """
 
 from __future__ import annotations
@@ -144,27 +149,18 @@ def fit_gibbs(events: DiscreteEvents, max_lag: int,
     kept_buckets: list[np.ndarray] = []
     for sweep in range(n_iterations):
         phase_start = perf_counter()
-        lag_pmf = basis.expand(buckets)
         # -- parent attribution ------------------------------------------
-        flat_vals = structure.all_candidate_values(weights, lag_pmf)
+        flat_vals = structure.candidate_values(weights, buckets)
         z_background, flat_draws = sample_parent_attributions(
             structure, background, flat_vals, rng)
-        z_weight = np.zeros((k_procs, k_procs))
-        z_bucket = np.zeros((k_procs, k_procs, basis.n_buckets))
-        if len(flat_draws):
-            np.add.at(z_weight, (structure.flat_src, structure.flat_dst),
-                      flat_draws)
-            np.add.at(z_bucket,
-                      (structure.flat_src, structure.flat_dst,
-                       structure.flat_bucket), flat_draws)
+        z_weight, z_bucket = structure.tally_draws(flat_draws)
         attribution_s += perf_counter() - phase_start
         # -- conjugate updates --------------------------------------------
         phase_start = perf_counter()
         background = rng.gamma(
             priors.background_shape + z_background,
             1.0 / (priors.background_rate + events.n_bins))
-        lag_cdf = np.cumsum(lag_pmf, axis=2)
-        exposure = structure.exposure(lag_cdf)
+        exposure = structure.bucket_exposure(buckets)
         weights = rng.gamma(priors.weight_shape + z_weight,
                             1.0 / (priors.weight_rate + exposure))
         conc = priors.impulse_concentration + z_bucket

@@ -19,11 +19,28 @@ those loops: per-candidate products multiply left-to-right as
 ``count * weight * pmf``, and scatter-adds use :func:`np.ufunc.at` /
 ``np.cumsum``, both of which accumulate sequentially in element order
 (a plain ``sum()`` would re-associate via pairwise summation and drift
-in the last bits).  The Gibbs sampler keeps seed-determinism — same
-seed, same result — but its *draw stream* differs from the historical
-sampler: one bulk uniform pass replaces per-event ``multinomial``
-calls (the sampled law is unchanged; a multinomial is a sum of i.i.d.
-categorical draws).
+in the last bits).  EM runs on the per-lag kernels
+(:meth:`ParentStructure.all_candidate_values`, :func:`exposure`) over
+the expanded ``(K, K, max_lag)`` PMF.
+
+The Gibbs sampler never expands the PMF: its sweeps run in bucket
+space on the closed forms of :class:`BucketKernels`, which it shares
+with batched EM (:mod:`.batched`):
+
+* candidate values gather ``buckets / bucket_size`` — the division
+  :meth:`LagBasis.expand` performs per lag — so they are bit-identical
+  to the per-lag gather;
+* attribution tallies are ``np.bincount`` sums of integer draw counts,
+  so they are exact and equal to the ``np.add.at`` tallies;
+* the exposure uses the closed-form truncation CDF (cumulated buckets
+  below the cap bucket plus the covered fraction of the cap bucket),
+  which associates differently from the per-lag cumsum and agrees with
+  it to rounding (about 1e-16 relative).
+
+The sampler keeps seed-determinism — same seed, same result — but its
+*draw stream* differs from the historical sampler: one bulk uniform
+pass replaces per-event ``multinomial`` calls (the sampled law is
+unchanged; a multinomial is a sum of i.i.d. categorical draws).
 
 Caching
 -------
@@ -40,6 +57,8 @@ matrices cannot leak or bloat worker payloads.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -101,13 +120,120 @@ def sequential_row_sum(rows: np.ndarray, init: np.ndarray) -> np.ndarray:
     return np.cumsum(stacked, axis=0)[-1]
 
 
-class ParentStructure:
+class BucketKernels:
+    """Bucket-space closed forms over a flat candidate layout.
+
+    The one home of the bucket-level kernels shared by per-URL Gibbs
+    (:class:`ParentStructure`) and batched EM
+    (:class:`~.batched.BatchedParentStructure`).  Parameters are
+    addressed through raveled indices, so the same code serves a single
+    cascade (``weights (K, K)``, ``buckets (K, K, B)``) and a batch with
+    a leading cascade axis (``(C, K, K)``, ``(C, K, K, B)``).  A *row*
+    is one ``(cascade, source)`` pair: ``row = cascade * K + source``.
+
+    Subclasses set ``flat_cnt``, ``flat_bucket``, ``_pair`` (raveled
+    ``(.., K, K)`` cell of each candidate), ``offsets`` and ``sizes``,
+    then call :meth:`_init_bucket_space`.
+    """
+
+    def _init_bucket_space(self, basis: LagBasis, entry_row: np.ndarray,
+                           entry_cnt: np.ndarray, capped: np.ndarray,
+                           pair_shape: tuple[int, ...]) -> None:
+        """Precompute the gather indices of the bucket-space kernels.
+
+        ``entry_row``/``entry_cnt`` give each entry's row and count and
+        ``capped`` its post-event window ``min(bins left, max_lag)``;
+        ``pair_shape`` is the ``(.., K, K)`` shape of the weights.
+        """
+        self._pair_shape = tuple(pair_shape)
+        self._bucket_index = self._pair * basis.n_buckets + self.flat_bucket
+        # -- truncated-exposure precomputation (window-end effects) ------
+        valid = capped > 0
+        self.v_row = entry_row[valid]
+        self.v_cnt = entry_cnt[valid]
+        cap = capped[valid]
+        self.v_bucket = basis.bucket_of[cap - 1]
+        lags_below = np.concatenate(
+            [[0], np.cumsum(basis.bucket_sizes)])[self.v_bucket]
+        # Fraction of the cap bucket's mass inside the truncation window.
+        self.v_frac = ((cap - lags_below)
+                       / basis.bucket_sizes[self.v_bucket])
+
+    def candidate_values(self, weights: np.ndarray,
+                         buckets: np.ndarray) -> np.ndarray:
+        """``count * W[src, dst] * pmf[src, dst, lag - 1]`` for every
+        candidate, as flat gathers from the bucket PMFs.
+
+        The per-lag PMF value is the bucket probability spread uniformly
+        over the bucket's lags.  Each gathered bucket value is divided by
+        its bucket's size — the very division :meth:`LagBasis.expand`
+        performs per lag — so the values are bit-identical to gathering
+        from the expanded PMF.  Gathering first keeps the work O(F) in
+        the candidates, not O(C K^2 B) in the parameter cells.
+        """
+        if not len(self._pair):
+            return np.empty(0, dtype=np.float64)
+        return (self.flat_cnt * weights.reshape(-1)[self._pair]
+                * (buckets.reshape(-1)[self._bucket_index]
+                   / self.basis.bucket_sizes[self.flat_bucket]))
+
+    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
+        """Per-entry candidate-mass totals ``(n_entries,)``."""
+        if not len(flat_vals):
+            return np.zeros(len(self.sizes))
+        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
+                               self.offsets[:-1])
+        sums[self.sizes == 0] = 0.0
+        return sums
+
+    def tally_draws(self, flat_draws: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Parent-attribution tallies ``(z_weight, z_bucket)``.
+
+        ``z_bucket`` is one ``np.bincount`` of the per-candidate child
+        counts over the raveled ``(.., K, K, B)`` cells, and ``z_weight``
+        its sum over buckets.  The counts are integers, so every
+        accumulation order gives the same (exact) floats.
+        """
+        shape = self._pair_shape + (self.basis.n_buckets,)
+        z_bucket = np.bincount(self._bucket_index, weights=flat_draws,
+                               minlength=int(np.prod(shape)))
+        z_bucket = z_bucket.reshape(shape)
+        return z_bucket.sum(axis=-1), z_bucket
+
+    def truncation_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
+        """Lag-CDF rows ``cdf[row, :, cap - 1]`` per valid entry.
+
+        ``(n_valid, K)``: full buckets below the cap bucket plus the
+        covered fraction of the cap bucket — the bucket-level closed
+        form of the per-lag cumsum :func:`exposure` takes.
+        """
+        k, n_buckets = buckets.shape[-2:]
+        rows = buckets.reshape(-1, k, n_buckets)
+        below = np.zeros_like(rows)
+        np.cumsum(rows[..., :-1], axis=2, out=below[..., 1:])
+        return (below[self.v_row, :, self.v_bucket]
+                + self.v_frac[:, None] * rows[self.v_row, :, self.v_bucket])
+
+    def bucket_exposure(self, buckets: np.ndarray) -> np.ndarray:
+        """Truncated exposure ``E[.., i, j]`` from the bucket PMFs."""
+        k = buckets.shape[-2]
+        out = np.zeros(buckets.shape[:-1])
+        if len(self.v_row):
+            np.add.at(out.reshape(-1, k), self.v_row,
+                      self.v_cnt[:, None] * self.truncation_cdf_rows(buckets))
+        return out
+
+
+class ParentStructure(BucketKernels):
     """Flat candidate-parent arrays for each event entry.
 
     For entry ``m`` (bin ``t``, process ``k``, count ``c``) the
     candidate parents are every earlier entry within ``max_lag`` bins.
     Candidates of all entries are stored concatenated; segment ``m``
-    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.
+    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.  The bucket-space
+    kernels of :class:`BucketKernels` serve Gibbs; the per-lag kernels
+    below serve EM.
     """
 
     def __init__(self, events: DiscreteEvents, basis: LagBasis) -> None:
@@ -125,25 +251,30 @@ class ParentStructure:
         self.flat_cnt = events.counts[flat_idx].astype(np.float64)
         self.flat_bucket = basis.bucket_of[self.flat_lag - 1]
         self.flat_dst = np.repeat(events.processes.astype(np.int64), sizes)
-        # Precomputed gather indices into raveled (K, K) / (K, K, D)
-        # arrays: candidate values become three flat gathers + products.
+        # Precomputed gather index into raveled (K, K) arrays: candidate
+        # values become flat gathers + products.
         k = events.n_processes
         self._pair = self.flat_src * k + self.flat_dst
-        self._pmf_index = self._pair * basis.max_lag + self.flat_lag - 1
         self.dst = events.processes.astype(np.int64)
-        self._draw_entry: np.ndarray | None = None
+        # Exposure rows: each entry parents on its own process's row.
+        remaining = events.n_bins - 1 - ev_bins
+        self._init_bucket_space(
+            basis, self.dst, events.counts.astype(np.float64),
+            np.minimum(remaining, basis.max_lag), (k, k))
 
-    @property
+    @cached_property
+    def _pmf_index(self) -> np.ndarray:
+        """Gather index into the raveled per-lag ``(K, K, D)`` PMF (EM)."""
+        return self._pair * self.basis.max_lag + self.flat_lag - 1
+
+    @cached_property
     def draw_entry(self) -> np.ndarray:
         """Entry index of each individual event draw: entry ``m``
         repeated ``counts[m]`` times.  Built lazily (only the Gibbs
         sampler needs it) and reused across sweeps.
         """
-        if self._draw_entry is None:
-            self._draw_entry = np.repeat(
-                np.arange(len(self.events), dtype=np.int64),
-                self.events.counts.astype(np.int64))
-        return self._draw_entry
+        return np.repeat(np.arange(len(self.events), dtype=np.int64),
+                         self.events.counts.astype(np.int64))
 
     # -- per-event views (introspection and tests; not on hot paths) ------
 
@@ -168,11 +299,12 @@ class ParentStructure:
     def cand_bucket(self) -> list[np.ndarray]:
         return self._split(self.flat_bucket)
 
-    # -- kernels -----------------------------------------------------------
+    # -- per-lag kernels (EM) ----------------------------------------------
 
     def all_candidate_values(self, weights: np.ndarray,
                              lag_pmf: np.ndarray) -> np.ndarray:
-        """Unnormalized parent weights for every candidate, flattened.
+        """Unnormalized parent weights for every candidate, flattened,
+        gathered from the expanded per-lag PMF ``(K, K, D)``.
 
         Products evaluate as ``count * weight * pmf`` left-to-right,
         matching the reference loop bit for bit.
@@ -186,15 +318,6 @@ class ParentStructure:
     def exposure(self, lag_cdf: np.ndarray) -> np.ndarray:
         """Truncated exposure ``E[i, j]`` under the lag CDF ``(K, K, D)``."""
         return exposure(self.events, lag_cdf, self.basis.max_lag)
-
-    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
-        """Per-event candidate-mass totals ``(n_events,)``."""
-        if not len(flat_vals):
-            return np.zeros(len(self.events))
-        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
-                               self.offsets[:-1])
-        sums[self.sizes == 0] = 0.0
-        return sums
 
 
 def get_parent_structure(events: DiscreteEvents,

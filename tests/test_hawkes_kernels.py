@@ -494,6 +494,99 @@ class TestKernelCaching:
 
 
 # ---------------------------------------------------------------------------
+# Bucket-space (Gibbs) kernels vs the per-lag kernels
+# ---------------------------------------------------------------------------
+
+BASES = {"log-binned": LogBinnedLagBasis(30, 6),
+         "dirichlet": DirichletLagBasis(30)}
+
+
+@pytest.fixture(scope="module")
+def window_end_case():
+    """Events whose last entries sit within ``max_lag`` of the window
+    end, so their truncation window covers only part of a bucket."""
+    params = make_params()
+    events = simulate_branching(params, 400, np.random.default_rng(11))
+    tail = [(t, k) for t in (372, 380, 391, 396, 398) for k in (0, 1)]
+    pairs = [(int(t), int(k)) for t, k, c in zip(
+        events.bins, events.processes, events.counts) for _ in range(c)]
+    return DiscreteEvents.from_pairs(pairs + tail, n_bins=400,
+                                     n_processes=2)
+
+
+def random_buckets(basis, seed, k=2):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.01, 0.4, (k, k)),
+            rng.dirichlet(np.ones(basis.n_buckets), size=(k, k)))
+
+
+@pytest.mark.parametrize("basis_name", sorted(BASES))
+class TestBucketSpaceKernels:
+    def test_candidate_values_bit_equal_to_per_lag(self, medium_case,
+                                                   basis_name):
+        _, events = medium_case
+        basis = BASES[basis_name]
+        structure = kernels.ParentStructure(events, basis)
+        weights, buckets = random_buckets(basis, 0)
+        assert np.array_equal(
+            structure.candidate_values(weights, buckets),
+            structure.all_candidate_values(weights, basis.expand(buckets)))
+
+    def test_bincount_tallies_bit_equal_to_add_at(self, medium_case,
+                                                  basis_name):
+        _, events = medium_case
+        basis = BASES[basis_name]
+        structure = kernels.ParentStructure(events, basis)
+        weights, buckets = random_buckets(basis, 1)
+        _, flat_draws = kernels.sample_parent_attributions(
+            structure, np.full(2, 0.01),
+            structure.candidate_values(weights, buckets),
+            np.random.default_rng(2))
+        assert flat_draws.sum() > 0
+        z_weight = np.zeros((2, 2))
+        z_bucket = np.zeros((2, 2, basis.n_buckets))
+        np.add.at(z_weight, (structure.flat_src, structure.flat_dst),
+                  flat_draws)
+        np.add.at(z_bucket, (structure.flat_src, structure.flat_dst,
+                             structure.flat_bucket), flat_draws)
+        tallied_weight, tallied_bucket = structure.tally_draws(flat_draws)
+        assert np.array_equal(tallied_weight, z_weight)
+        assert np.array_equal(tallied_bucket, z_bucket)
+
+    def test_closed_form_exposure_matches_per_lag(self, window_end_case,
+                                                  basis_name):
+        events = window_end_case
+        basis = BASES[basis_name]
+        structure = kernels.ParentStructure(events, basis)
+        # Entries within max_lag of the window end; under the log-binned
+        # basis some of them cover only part of their cap bucket.
+        remaining = events.n_bins - 1 - events.bins
+        assert np.any((remaining > 0) & (remaining < basis.max_lag))
+        assert basis_name == "dirichlet" or np.any(structure.v_frac < 1.0)
+        for seed in range(5):
+            _, buckets = random_buckets(basis, seed)
+            per_lag = kernels.exposure(
+                events, np.cumsum(basis.expand(buckets), axis=2),
+                basis.max_lag)
+            closed = structure.bucket_exposure(buckets)
+            assert np.allclose(closed, per_lag, rtol=1e-12, atol=0.0)
+
+    def test_same_seed_same_fit_result(self, window_end_case, basis_name):
+        basis = BASES[basis_name]
+        runs = [fit_gibbs(window_end_case, 30, basis=basis,
+                          n_iterations=12, burn_in=4,
+                          rng=np.random.default_rng(9))
+                for _ in range(2)]
+        first, second = runs
+        assert np.array_equal(first.background, second.background)
+        assert np.array_equal(first.weights, second.weights)
+        assert np.array_equal(first.params.impulse, second.params.impulse)
+        assert np.array_equal(first.weight_samples, second.weight_samples)
+        assert first.log_likelihood == second.log_likelihood
+        assert first.n_iterations == second.n_iterations
+
+
+# ---------------------------------------------------------------------------
 # Fitter-level golden tests
 # ---------------------------------------------------------------------------
 
