@@ -1,12 +1,15 @@
-"""Batched vs per-URL corpus EM: urls/sec per engine × corpus shape.
+"""Batched vs per-URL corpus fits: urls/sec per engine × corpus shape.
 
-The batched engine exists for exactly one workload: thousands of small
-cascades, where per-URL EM is NumPy-dispatch-bound (hundreds of kernel
-launches per URL on arrays with tens of elements).  This bench fits the
-same synthetic corpora with ``engine="per-url"`` and
-``engine="batched"`` (both ``n_jobs=1``, so the comparison isolates the
-packing, not process fan-out), checks the results agree within
-tolerance, and reports urls/sec plus the batched speedup per shape.
+Batching exists for exactly one workload: many small cascades, where a
+per-URL fit is NumPy-dispatch-bound (hundreds of kernel launches per
+URL on arrays with tens of elements).  This bench fits the same
+synthetic corpora with ``engine="per-url"`` and ``engine="batched"``
+EM (both ``n_jobs=1``, so the comparison isolates the packing, not
+process fan-out), checks the results agree within tolerance, and
+reports urls/sec plus the batched speedup per shape.  A second case
+times Gibbs: one ``fit_gibbs`` call per URL (one-cascade batches)
+against ``fit_corpus``, which packs chunks of cascades, and checks the
+two are bit-identical.
 
 Each run emits ``results/BENCH_batched_corpus.json``; ``BENCH_SMOKE=1``
 shrinks the corpora for a fast CI pass (the JSON is emitted either
@@ -21,7 +24,10 @@ import numpy as np
 import pytest
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
-from repro.core.influence import UrlCascade, fit_corpus
+from repro.core.hawkes import LogBinnedLagBasis, fit_gibbs
+from repro.core.hawkes.inference import Priors
+from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
+from repro.parallel import spawn_task_seeds
 from repro.news.domains import NewsCategory
 from repro.reporting import render_table
 
@@ -36,6 +42,11 @@ SHAPES = ((("tiny-cascades", 120, 5), ("small-cascades", 60, 12))
           (("tiny-cascades", 1500, 5), ("small-cascades", 400, 12)))
 
 BENCH_HAWKES = HawkesConfig(max_lag_bins=120)
+#: Gibbs at the sweep budget of ``repro report``; fewer URLs per shape,
+#: since a Gibbs sweep costs about as much as an EM iteration.
+GIBBS_HAWKES = HawkesConfig(max_lag_bins=120, gibbs_iterations=30,
+                            gibbs_burn_in=10)
+GIBBS_URLS = 40 if SMOKE else 300
 
 _RESULTS: dict = {}
 _METRICS: dict = {}
@@ -49,6 +60,8 @@ def _emit_bench_json():
         "shapes": [{"name": name, "n_urls": n, "events_per_url": m}
                    for name, n, m in SHAPES],
         "max_lag_bins": BENCH_HAWKES.max_lag_bins,
+        "gibbs_urls": GIBBS_URLS,
+        "gibbs_sweeps": GIBBS_HAWKES.gibbs_iterations,
         "n_jobs": 1,
     }, metrics=_METRICS)
 
@@ -121,5 +134,62 @@ def test_bench_batched_corpus(benchmark, save_result):
                     f"{BENCH_HAWKES.max_lag_bins}"
                     f"{' (smoke)' if SMOKE else ''}")
     save_result("batched_corpus_throughput.txt", table)
+    print()
+    print(table)
+
+
+def _per_url_gibbs(corpus, seed):
+    """One ``fit_gibbs`` call per URL, seeded as ``fit_corpus`` seeds."""
+    config = GIBBS_HAWKES
+    basis = LogBinnedLagBasis(config.max_lag_bins)
+    priors = Priors(background_shape=config.background_shape,
+                    background_rate=config.background_rate,
+                    weight_shape=config.weight_shape,
+                    weight_rate=config.weight_rate,
+                    impulse_concentration=config.impulse_concentration)
+    return [fit_gibbs(cascade_to_events(cascade), config.max_lag_bins,
+                      basis=basis, priors=priors,
+                      n_iterations=config.gibbs_iterations,
+                      burn_in=config.gibbs_burn_in,
+                      rng=np.random.default_rng(task_seed),
+                      keep_samples=False)
+            for cascade, task_seed in zip(
+                corpus, spawn_task_seeds(seed, len(corpus)))]
+
+
+def test_bench_batched_gibbs_corpus(save_result):
+    rows = []
+    for i, (name, _, events_per_url) in enumerate(SHAPES):
+        corpus = build_corpus(GIBBS_URLS, events_per_url, seed=17 + i)
+        start = time.perf_counter()
+        per_url = _per_url_gibbs(corpus, seed=5)
+        per_url_s = time.perf_counter() - start
+        start = time.perf_counter()
+        batched = fit_corpus(corpus, GIBBS_HAWKES, rng=5)
+        batched_s = time.perf_counter() - start
+        for ref, got in zip(per_url, batched.fits):
+            assert np.array_equal(got.weights, ref.weights)
+            assert got.log_likelihood == ref.log_likelihood
+        speedup = per_url_s / batched_s
+        for engine, elapsed in (("per-url", per_url_s),
+                                ("batched", batched_s)):
+            _RESULTS[f"gibbs-{name}/{engine}"] = {
+                "ops_per_sec": GIBBS_URLS / elapsed,
+                "mean_seconds": elapsed / GIBBS_URLS,
+                "wall_seconds": elapsed,
+                "n_urls": GIBBS_URLS,
+                "events_per_url": events_per_url,
+            }
+        _RESULTS[f"gibbs-{name}/speedup"] = {"batched_over_per_url": speedup}
+        rows.append([name, str(GIBBS_URLS), str(events_per_url),
+                     f"{GIBBS_URLS / per_url_s:.1f}",
+                     f"{GIBBS_URLS / batched_s:.1f}", f"{speedup:.1f}x"])
+    table = render_table(
+        ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
+         "Speedup"],
+        rows, title=f"Corpus Gibbs, {GIBBS_HAWKES.gibbs_iterations} sweeps,"
+                    f" n_jobs=1, max_lag={GIBBS_HAWKES.max_lag_bins}"
+                    f"{' (smoke)' if SMOKE else ''}")
+    save_result("batched_gibbs_throughput.txt", table)
     print()
     print(table)

@@ -85,9 +85,10 @@ class Study:
     fan-out (a pure execution knob — results and therefore artifact
     keys are identical for any value).
     ``engine`` picks the EM execution strategy (``"per-url"`` golden
-    reference or ``"batched"`` packed array program); like ``n_jobs``
-    it is an execution knob equivalent to floating-point tolerance, so
-    it is likewise excluded from artifact keys.  ``cache_dir`` persists
+    reference or ``"batched"`` packed array program; Gibbs always runs
+    batched, bit-identical to per-URL fits); like ``n_jobs`` it is an
+    execution knob equivalent to floating-point tolerance, so it is
+    likewise excluded from artifact keys.  ``cache_dir`` persists
     artifacts on disk, shared across processes; ``store`` injects a
     prebuilt :class:`ArtifactStore` instead.
     """
@@ -139,8 +140,6 @@ class Study:
             raise ValueError(f"unknown fit method {method!r}")
         if engine not in ("per-url", "batched"):
             raise ValueError(f"unknown fit engine {engine!r}")
-        if engine == "batched" and method != "em":
-            raise ValueError("engine='batched' requires method='em'")
         self.method: FitMethod = method
         self.engine: Engine = engine
         self.max_urls = max_urls

@@ -70,10 +70,11 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=("per-url", "batched"), default="per-url",
-        help="corpus fit execution strategy: 'per-url' fits one cascade "
-             "at a time (golden reference); 'batched' packs each chunk "
-             "into one array program and switches the fit method to EM "
-             "(results match per-url EM to floating-point tolerance)")
+        help="EM corpus fit execution strategy: 'per-url' fits one "
+             "cascade at a time (golden reference); 'batched' packs each "
+             "chunk into one array program (results match per-url EM to "
+             "floating-point tolerance).  Gibbs fits always run batched, "
+             "bit-identical to per-url fits")
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -146,11 +147,6 @@ def _study(args: argparse.Namespace, **overrides):
             "hawkes": HawkesConfig(gibbs_iterations=30, gibbs_burn_in=10),
             "fit_seed": args.seed,
         })
-    if kwargs["engine"] == "batched":
-        # The batched engine only exists for EM; the CLI's default fit
-        # method is Gibbs, so --engine batched selects EM rather than
-        # erroring out of the Study constructor.
-        kwargs["method"] = "em"
     kwargs.update(overrides)
     return Study(**kwargs)
 

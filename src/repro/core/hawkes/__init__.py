@@ -13,20 +13,27 @@ Submodules
 ``kernels``     flat segment-wise array kernels shared by all of the above
 ``simulation``  exact branching sampler and a stepwise cross-check sampler
 ``inference``   Gibbs sampler with conjugate updates, plus an EM fitter
-``batched``     batched EM over packed corpora (one array program per batch)
+``batched``     batched EM and Gibbs over packed corpora (one array program
+                per batch)
 """
 
 from .basis import DirichletLagBasis, LagBasis, LogBinnedLagBasis
-from .batched import BatchedEMResult, PackedCascades, fit_em_batched
+from .batched import (
+    BatchedFitResult,
+    PackedCascades,
+    fit_em_batched,
+    fit_gibbs_batched,
+)
 from .kernels import ParentStructure, get_parent_structure
 from .model import HawkesParams, discrete_log_likelihood, expected_rate
 from .simulation import simulate_branching, simulate_stepwise
 from .inference import FitResult, fit_em, fit_gibbs
 
 __all__ = [
-    "BatchedEMResult",
+    "BatchedFitResult",
     "PackedCascades",
     "fit_em_batched",
+    "fit_gibbs_batched",
     "DirichletLagBasis",
     "LagBasis",
     "LogBinnedLagBasis",

@@ -1,15 +1,14 @@
-"""Batched EM: fit a whole corpus chunk of cascades as one array program.
+"""Batched fits: a whole corpus chunk of cascades as one array program.
 
-:func:`~repro.core.influence.fit_corpus` historically dispatched one
-:func:`~.inference.fit_em` per URL.  PR 3 made each of those fits a
-flat array program (:mod:`.kernels`), but with thousands of *tiny*
-cascades the remaining cost is NumPy call dispatch — hundreds of
-kernel launches per URL on arrays with tens of elements.  This module
-removes the corpus loop itself: a batch of per-URL
-:class:`~repro.core.events.DiscreteEvents` is packed into one flat
-segmented layout with a leading cascade axis, and every EM phase —
-candidate values, responsibilities, exposures, MAP updates, and the
-log-likelihood — runs across the entire batch in single NumPy calls.
+With thousands of *tiny* cascades the cost of a per-URL fit is NumPy
+call dispatch — hundreds of kernel launches per URL on arrays with tens
+of elements.  This module removes the corpus loop itself: a batch of
+per-URL :class:`~repro.core.events.DiscreteEvents` is packed into one
+flat segmented layout with a leading cascade axis, and every phase of a
+sweep runs across the entire batch in single NumPy calls.  Two fitters
+share the layout: :func:`fit_em_batched` (batched EM) and
+:func:`fit_gibbs_batched`, the only Gibbs sweep
+(:func:`~.inference.fit_gibbs` is its one-cascade call).
 
 Packing
 -------
@@ -22,27 +21,34 @@ parent ever crosses a cascade boundary: the nearest event of the
 previous cascade is always more than ``max_lag`` bins away.  Per-pair
 state gains a leading cascade axis — ``background (C, K)``, ``weights
 (C, K, K)``, bucket PMFs ``(C, K, K, B)`` — and all scatters/gathers go
-through precomputed raveled indices that include the cascade.
+through precomputed raveled indices that include the cascade.  The
+bucket-space closed forms (candidate values, truncation CDF, exposure)
+live in :class:`~.kernels.BucketKernels`.
 
-Equivalence contract
---------------------
-Within one cascade, the E-step reproduces :func:`~.inference.fit_em`'s
-floating-point evaluation order exactly (same ``count * weight * pmf``
-products, same ``np.add.at``/``reduceat`` accumulation order).  The
-exposure and likelihood reductions associate differently: bucket-level
-closed forms replace per-lag cumsums over the expanded ``(K, K, D)``
-PMF, which would not fit in memory with a cascade axis.  Batched
-results therefore match the per-URL EM path to floating-point
-*tolerance*, not bit for bit — pinned by
-``tests/test_batched_equivalence.py``.  The closed forms (candidate
-values, truncation CDF, exposure) live in
-:class:`~.kernels.BucketKernels` and are shared with per-URL Gibbs,
-which runs every sweep in bucket space; per-URL EM alone keeps the
-per-lag kernels.  Cascades never interact, so a cascade's fitted
-parameters are bit-identical for every batch composition, worker
-count, and chunk size.
+Equivalence contracts
+---------------------
+*Gibbs is bit-identical to fitting each URL alone.*  Each cascade
+keeps its own generator and draws in the per-URL order, and every
+reduction either stays per cascade (the candidate-mass cumsum and its
+``searchsorted``, the posterior means of background and weights) or
+sums in the same sequential order as the per-URL sweep (integer
+attribution tallies, the exposure, the running bucket sum).  The
+frozen per-URL sweep in ``tests/gibbs_reference.py`` pins this for
+every batch composition, chunk size and worker count.
 
-Convergence uses per-cascade freeze masks: the iteration a cascade's
+*EM matches per-URL EM to tolerance.*  Within one cascade, the E-step
+reproduces :func:`~.inference.fit_em`'s floating-point evaluation order
+exactly (same ``count * weight * pmf`` products, same
+``np.add.at``/``reduceat`` accumulation order).  The exposure and
+likelihood reductions associate differently: bucket-level closed forms
+replace per-lag cumsums over the expanded ``(K, K, D)`` PMF, which
+would not fit in memory with a cascade axis.  Batched EM therefore
+matches the per-URL EM path to floating-point *tolerance* — pinned by
+``tests/test_batched_equivalence.py``.  Cascades never interact, so a
+cascade's fitted parameters are bit-identical for every batch
+composition, worker count, and chunk size.
+
+EM convergence uses per-cascade freeze masks: the iteration a cascade's
 relative log-likelihood delta drops below ``tol`` — exactly when
 ``fit_em`` would break — its parameters and likelihood freeze while
 the rest of the batch keeps iterating.
@@ -62,7 +68,7 @@ from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
 from .kernels import BucketKernels, segment_ranges
-from .model import HawkesParams
+from .model import HawkesParams, discrete_log_likelihood
 
 #: Parameter floor shared with the per-URL MAP updates.
 _EPS = 1e-12
@@ -131,7 +137,7 @@ class BatchedParentStructure(BucketKernels):
     work is flat gathers, products, and sequential scatter-adds — for
     the whole batch at once.  The bucket-space kernels (candidate
     values, truncation CDF, exposure) are those of
-    :class:`~.kernels.BucketKernels`, shared with per-URL Gibbs.
+    :class:`~.kernels.BucketKernels`, shared by batched EM and Gibbs.
     """
 
     def __init__(self, packed: PackedCascades, basis: LagBasis) -> None:
@@ -164,13 +170,14 @@ class BatchedParentStructure(BucketKernels):
 
 
 @dataclass(frozen=True)
-class BatchedEMResult:
-    """Per-cascade MAP estimates of one batched EM fit.
+class BatchedFitResult:
+    """Per-cascade estimates of one batched fit (EM or Gibbs).
 
     Parameters stay stacked (cascade-leading axes) so a corpus driver
     can slice rows without materializing ``C`` expanded ``(K, K, D)``
     impulse arrays; :meth:`fit_result` expands one cascade on demand
-    for API parity with :func:`~.inference.fit_em`.
+    for API parity with :func:`~.inference.fit_em` and
+    :func:`~.inference.fit_gibbs`.
     """
 
     background: np.ndarray      # (C, K)
@@ -179,49 +186,79 @@ class BatchedEMResult:
     log_likelihood: np.ndarray  # (C,)
     n_iterations: np.ndarray    # (C,)
     basis: LagBasis
+    #: Gibbs only: kept W draws, (C, n_samples, K, K); n_samples is 0
+    #: unless the fit was asked to keep them.
+    weight_samples: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.log_likelihood)
 
     def fit_result(self, cascade: int) -> FitResult:
-        """One cascade's fit as a :func:`~.inference.fit_em`-style result."""
+        """One cascade's fit as a per-URL :class:`~.inference.FitResult`."""
         params = HawkesParams(
             background=self.background[cascade].copy(),
             weights=self.weights[cascade].copy(),
             impulse=self.basis.expand(self.bucket_pmf[cascade]))
+        extra = ({} if self.weight_samples is None else
+                 {"weight_samples": self.weight_samples[cascade].copy()})
         return FitResult(params=params,
                          log_likelihood=float(self.log_likelihood[cascade]),
-                         n_iterations=int(self.n_iterations[cascade]))
+                         n_iterations=int(self.n_iterations[cascade]),
+                         **extra)
 
 
-def _record_batch_metrics(n_cascades: int, max_iterations: int,
+def _initial_state(structure: BatchedParentStructure, priors: Priors,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked :func:`.inference._initial_state` of every cascade."""
+    packed = structure.packed
+    n_casc, k = packed.n_cascades, packed.n_processes
+    totals_per = np.zeros((n_casc, k))
+    np.add.at(totals_per.reshape(-1), structure.entry_cell, packed.counts)
+    background = np.maximum(
+        np.full((n_casc, k), priors.background_shape / priors.background_rate),
+        0.5 * totals_per / np.maximum(packed.n_bins, 1)[:, None])
+    weights = np.full((n_casc, k, k), priors.weight_shape / priors.weight_rate)
+    n_buckets = structure.basis.n_buckets
+    buckets = np.full((n_casc, k, k, n_buckets), 1.0 / n_buckets)
+    return background, weights, buckets
+
+
+def _record_batch_metrics(method: str, n_cascades: int, iterations: int,
                           total: float, phases: dict[str, float]) -> None:
-    """Observe one completed batched fit (pure timing, RNG-free)."""
+    """Observe one completed batched fit (pure timing, RNG-free).
+
+    ``repro_fit_total`` counts one fit per cascade, under ``gibbs`` for
+    Gibbs (its only engine) and ``em-batched`` for batched EM.
+    """
+    fit_label = "em-batched" if method == "em" else method
     registry = get_registry()
     registry.counter("repro_fit_batch_total",
-                     "Completed batched EM corpus fits.", method="em").inc()
+                     "Completed batched corpus fits.", method=method).inc()
     registry.counter("repro_fit_total",
                      "Completed per-URL Hawkes fits.",
-                     method="em-batched").inc(n_cascades)
+                     method=fit_label).inc(n_cascades)
     registry.histogram("repro_fit_batch_cascades",
-                       "Cascades packed into one batched EM fit.",
-                       edges=DEFAULT_COUNT_BUCKETS).observe(n_cascades)
+                       "Cascades packed into one batched fit.",
+                       edges=DEFAULT_COUNT_BUCKETS,
+                       method=method).observe(n_cascades)
     registry.histogram("repro_fit_batch_iterations",
-                       "EM iterations until the whole batch converged.",
-                       edges=DEFAULT_COUNT_BUCKETS).observe(max_iterations)
+                       "Sweeps until the whole batch finished.",
+                       edges=DEFAULT_COUNT_BUCKETS,
+                       method=method).observe(iterations)
     registry.histogram("repro_fit_batch_seconds",
-                       "Wall time of one batched EM fit.").observe(total)
+                       "Wall time of one batched fit.",
+                       method=method).observe(total)
     phase_help = "Kernel wall time per fit phase, summed over sweeps."
     for phase, seconds in phases.items():
         registry.histogram("repro_fit_phase_seconds", phase_help,
-                           method="em-batched", phase=phase).observe(seconds)
+                           method=fit_label, phase=phase).observe(seconds)
 
 
 def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                    basis: LagBasis | None = None,
                    priors: Priors | None = None,
                    max_iterations: int = 200,
-                   tol: float = 1e-6) -> BatchedEMResult:
+                   tol: float = 1e-6) -> BatchedFitResult:
     """Deterministic MAP EM over a batch of cascades, all phases batched.
 
     Semantically ``[fit_em(ev, max_lag, ...) for ev in events_list]``
@@ -251,17 +288,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     k_procs = packed.n_processes
     n_buckets = basis.n_buckets
 
-    # -- initialization (mirrors inference._initial_state per cascade) ---
-    totals_per = np.zeros((n_casc, k_procs))
-    np.add.at(totals_per.reshape(-1), structure.entry_cell, packed.counts)
-    background = np.maximum(
-        np.full((n_casc, k_procs),
-                priors.background_shape / priors.background_rate),
-        0.5 * totals_per / np.maximum(packed.n_bins, 1)[:, None])
-    weights = np.full((n_casc, k_procs, k_procs),
-                      priors.weight_shape / priors.weight_rate)
-    buckets = np.full((n_casc, k_procs, k_procs, n_buckets),
-                      1.0 / n_buckets)
+    background, weights, buckets = _initial_state(structure, priors)
 
     counts = packed.counts
     entry_cell = structure.entry_cell
@@ -402,13 +429,13 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     out_ll[orig] = final_ll
     out_iterations[orig] = n_iterations
 
-    _record_batch_metrics(n_total, iterations_run,
+    _record_batch_metrics("em", n_total, iterations_run,
                           perf_counter() - fit_start, {
                               "attribution": attribution_s,
                               "updates": updates_s,
                               "likelihood": likelihood_s,
                           })
-    return BatchedEMResult(
+    return BatchedFitResult(
         background=out_background,
         weights=out_weights,
         bucket_pmf=out_buckets,
@@ -416,3 +443,204 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         n_iterations=out_iterations,
         basis=basis,
     )
+
+
+def candidate_counts(events_list: Sequence[DiscreteEvents],
+                     max_lag: int) -> np.ndarray:
+    """Candidate parents per cascade — the flat length each one adds to
+    a packed batch (two ``searchsorted`` calls per cascade)."""
+    return np.array([
+        int((np.searchsorted(ev.bins, ev.bins, side="left")
+             - np.searchsorted(ev.bins, ev.bins - max_lag,
+                               side="left")).sum())
+        for ev in events_list], dtype=np.int64)
+
+
+def split_by_candidates(counts: np.ndarray,
+                        max_candidates: int) -> list[slice]:
+    """Contiguous runs of cascades whose candidate totals stay within
+    ``max_candidates``; a cascade above the budget runs alone."""
+    runs: list[slice] = []
+    start, total = 0, 0
+    for stop, count in enumerate(counts.tolist()):
+        if stop > start and total + count > max_candidates:
+            runs.append(slice(start, stop))
+            start, total = stop, 0
+        total += count
+    if len(counts):
+        runs.append(slice(start, len(counts)))
+    return runs
+
+
+def fit_gibbs_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
+                      rngs: Sequence[np.random.Generator],
+                      basis: LagBasis | None = None,
+                      priors: Priors | None = None,
+                      n_iterations: int = 120, burn_in: int = 40,
+                      keep_samples: bool = True) -> BatchedFitResult:
+    """Gibbs sampling over a batch of cascades, one array program per sweep.
+
+    ``result.fit_result(c)`` equals ``fit_gibbs(events_list[c], max_lag,
+    rng=rngs[c], ...)`` bit for bit: each cascade draws from its
+    own generator in the per-URL order — one uniform block for parent
+    attribution, then one Gamma block for background, weights and
+    bucket PMFs in each sweep (``gamma(shape, scale)`` is ``scale *
+    standard_gamma(shape)``, so one ``standard_gamma`` call over the
+    concatenated shapes, scaled afterwards, equals the three ``gamma``
+    calls).  Everything that does not touch a generator or associate a
+    sum across cascades runs once for the whole batch: candidate values,
+    segment masses, attribution tallies (``np.bincount`` of integer
+    counts), the exposure (one ``np.bincount``, which sums in the
+    sequential order of ``np.add.at``), the Dirichlet normalization
+    and the posterior means.  The candidate-mass cumsum and its
+    ``searchsorted`` run per cascade over slices of one packed buffer,
+    each slice with its own leading zero, because a cumsum across
+    cascades would shift the bits of every later cascade.
+    """
+    if burn_in >= n_iterations:
+        raise ValueError("burn_in must be smaller than n_iterations")
+    if len(rngs) != len(events_list):
+        raise ValueError("need one generator per cascade")
+    priors = priors or Priors()
+    basis = basis or LogBinnedLagBasis(max_lag)
+    if basis.max_lag != max_lag:
+        raise ValueError("basis.max_lag must equal max_lag")
+    fit_start = perf_counter()
+    # The packed structure dies with _gibbs_sweeps, before the per-URL
+    # likelihoods build their own query structures.
+    kept_bg, kept_w, bucket_sum, phases = _gibbs_sweeps(
+        PackedCascades(events_list, max_lag), basis, priors, rngs,
+        n_iterations, burn_in)
+    n_casc, n_kept, k = kept_bg.shape
+    # The running bucket sum is np.mean's own axis-0 order; the background
+    # and weight means reduce each cascade's draws exactly as fit_gibbs
+    # does (np.mean of a lone K = 1 cell sums pairwise, not in order).
+    mean_buckets = bucket_sum / n_kept
+    mean_buckets /= mean_buckets.sum(axis=3, keepdims=True)
+    phase_start = perf_counter()
+    mean_bg = np.empty((n_casc, k))
+    mean_w = np.empty((n_casc, k, k))
+    log_likelihood = np.empty(n_casc)
+    for c, events in enumerate(events_list):
+        mean_bg[c] = np.mean(kept_bg[c], axis=0)
+        mean_w[c] = np.mean(kept_w[c], axis=0)
+        # The expanded impulse lives for one likelihood only.
+        log_likelihood[c] = discrete_log_likelihood(HawkesParams(
+            background=mean_bg[c], weights=mean_w[c],
+            impulse=basis.expand(mean_buckets[c])), events)
+    phases["likelihood"] = perf_counter() - phase_start
+    _record_batch_metrics("gibbs", n_casc, n_iterations,
+                          perf_counter() - fit_start, phases)
+    return BatchedFitResult(
+        background=mean_bg, weights=mean_w, bucket_pmf=mean_buckets,
+        log_likelihood=log_likelihood,
+        n_iterations=np.full(n_casc, n_iterations), basis=basis,
+        weight_samples=(kept_w if keep_samples
+                        else np.empty((n_casc, 0, k, k))))
+
+
+def _gibbs_sweeps(packed: PackedCascades, basis: LagBasis, priors: Priors,
+                  rngs: Sequence[np.random.Generator], n_iterations: int,
+                  burn_in: int,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Run every sweep of :func:`fit_gibbs_batched`.
+
+    Returns the kept background ``(C, S, K)`` and weight ``(C, S, K,
+    K)`` draws, the running sum of the kept bucket PMFs ``(C, K, K,
+    B)`` and the phase timings.
+    """
+    structure = BatchedParentStructure(packed, basis)
+    n_casc, k = packed.n_cascades, packed.n_processes
+    kk, n_buckets = k * k, basis.n_buckets
+    background, weights, buckets = _initial_state(structure, priors)
+
+    # -- packed layout: candidates, cumsum blocks and draws per cascade -----
+    offsets = structure.offsets
+    entry_cell = structure.entry_cell
+    cascade_of = packed.cascade_of
+    cand_offsets = offsets[packed.entry_offsets]
+    # Cascade c's cumsum block starts at cand_offsets[c] + c with its
+    # own leading zero; entry m's segment mass is cum[hi] - cum[lo].
+    cum = np.zeros(len(structure._pair) + n_casc)
+    cum_lo = offsets[:-1] + cascade_of
+    cum_hi = offsets[1:] + cascade_of
+    draw_entry = np.repeat(np.arange(len(packed), dtype=np.int64),
+                           packed.counts.astype(np.int64))
+    draw_offsets = np.searchsorted(draw_entry, packed.entry_offsets)
+    draw_cell = entry_cell[draw_entry]
+    draw_cum_lo = cum_lo[draw_entry]
+    draw_lo = offsets[:-1][draw_entry]
+    draw_hi = offsets[1:][draw_entry] - 1
+    draw_base = cand_offsets[cascade_of[draw_entry]]
+    uniforms = np.empty(len(draw_entry))
+    chosen = np.empty(len(draw_entry), dtype=np.int64)
+    per_cascade = [
+        (rngs[c], slice(cand_offsets[c], cand_offsets[c + 1]),
+         slice(cand_offsets[c] + c + 1, cand_offsets[c + 1] + c + 1),
+         slice(draw_offsets[c], draw_offsets[c + 1]))
+        for c in range(n_casc)]
+    # Gamma shapes and draws per cascade: [background | W | buckets].
+    prior_shapes = np.concatenate([
+        np.full(k, priors.background_shape),
+        np.full(kk, priors.weight_shape),
+        np.full(kk * n_buckets, priors.impulse_concentration)])
+    shapes = np.empty((n_casc, len(prior_shapes)))
+    gammas = np.empty_like(shapes)
+    background_scale = (1.0 / (priors.background_rate
+                               + packed.n_bins))[:, None]
+
+    n_kept = n_iterations - burn_in
+    kept_bg = np.empty((n_casc, n_kept, k))
+    kept_w = np.empty((n_casc, n_kept, k, k))
+    bucket_sum = np.zeros_like(buckets)
+    attribution_s = updates_s = 0.0
+    for sweep in range(n_iterations):
+        phase_start = perf_counter()
+        # -- parent attribution ----------------------------------------------
+        flat_vals = structure.candidate_values(weights, buckets)
+        for rng, cands, block, draws in per_cascade:
+            np.add.accumulate(flat_vals[cands], out=cum[block])
+            rng.random(out=uniforms[draws])
+        seg_mass = cum[cum_hi] - cum[cum_lo]
+        bg_mass = background.reshape(-1)[entry_cell]
+        totals = (bg_mass + seg_mass)[draw_entry]
+        draw_bg = bg_mass[draw_entry]
+        x = uniforms * totals
+        to_background = ((x < draw_bg) | (seg_mass[draw_entry] <= 0)
+                         | (totals <= 0))
+        targets = cum[draw_cum_lo] + (x - draw_bg)
+        for _, _, block, draws in per_cascade:
+            chosen[draws] = cum[block].searchsorted(targets[draws],
+                                                    side="right")
+        # Guard the last-ulp overshoot past the segment's own mass sum.
+        parents = np.clip(chosen + draw_base, draw_lo, draw_hi)[
+            ~to_background]
+        z_bucket = np.bincount(structure._bucket_index[parents],
+                               minlength=n_casc * kk * n_buckets)
+        z_bucket = z_bucket.reshape(n_casc, kk, n_buckets)
+        shapes[:, :k] = np.bincount(draw_cell[to_background],
+                                    minlength=n_casc * k).reshape(n_casc, k)
+        shapes[:, k:k + kk] = z_bucket.sum(axis=2)
+        shapes[:, k + kk:] = z_bucket.reshape(n_casc, -1)
+        shapes += prior_shapes
+        attribution_s += perf_counter() - phase_start
+        # -- conjugate updates ------------------------------------------------
+        phase_start = perf_counter()
+        for (rng, _, _, _), shape, out in zip(per_cascade, shapes, gammas):
+            rng.standard_gamma(shape, out=out)
+        exposure = structure.bucket_exposure(buckets)
+        background = gammas[:, :k] * background_scale
+        weights = (gammas[:, k:k + kk].reshape(n_casc, k, k)
+                   * (1.0 / (priors.weight_rate + exposure)))
+        # Dirichlet via normalized Gammas.
+        buckets = np.maximum(
+            gammas[:, k + kk:].reshape(n_casc, k, k, n_buckets), 1e-12)
+        buckets /= buckets.sum(axis=3, keepdims=True)
+        updates_s += perf_counter() - phase_start
+        if sweep >= burn_in:
+            kept_bg[:, sweep - burn_in] = background
+            kept_w[:, sweep - burn_in] = weights
+            bucket_sum += buckets
+
+    return kept_bg, kept_w, bucket_sum, {"attribution": attribution_s,
+                                         "updates": updates_s}

@@ -29,7 +29,8 @@ from scipy import stats as _scipy_stats
 
 from ..events import DiscreteEvents
 from .basis import LagBasis
-from .inference import Priors, fit_gibbs
+from .batched import fit_gibbs_batched
+from .inference import Priors
 from .model import HawkesParams, expected_rate, rate_integral
 from .simulation import simulate_branching
 
@@ -245,21 +246,23 @@ def sbc_ranks(basis: LagBasis, n_processes: int, n_bins: int,
               n_iterations: int = 60, burn_in: int = 20, thin: int = 4,
               rng: np.random.Generator | None = None,
               ) -> CalibrationRanks:
-    """Simulation-based calibration of :func:`fit_gibbs`.
+    """Simulation-based calibration of the Gibbs sampler.
 
     Each replication draws ``theta = (lambda_0, W, bucket PMFs)`` from
     ``priors`` (Gamma, Gamma and Dirichlet, the sampler's own conjugate
-    priors), simulates ``n_bins`` bins with :func:`simulate_branching`,
-    fits with :func:`fit_gibbs`, and ranks each true ``W[i, j]`` among
-    every ``thin``-th kept posterior draw.  One generator drives all
-    three steps, so a seeded ``rng`` makes the ranks reproducible.
+    priors) and simulates ``n_bins`` bins with
+    :func:`simulate_branching`; all replications are then fitted as one
+    batch by :func:`~.batched.fit_gibbs_batched`, and each true
+    ``W[i, j]`` is ranked among every ``thin``-th kept posterior draw.
+    ``rng`` draws every theta and simulation and spawns each fit's
+    generator, so a seeded ``rng`` makes the ranks reproducible.
     """
     rng = rng or np.random.default_rng()
     priors = priors or Priors()
     k = n_processes
-    ranks = np.empty((n_replications, k * k), dtype=np.int64)
-    n_draws = 0
-    for rep in range(n_replications):
+    true_weights = []
+    simulated = []
+    for _ in range(n_replications):
         background = rng.gamma(priors.background_shape,
                                1.0 / priors.background_rate, size=k)
         weights = rng.gamma(priors.weight_shape, 1.0 / priors.weight_rate,
@@ -269,11 +272,13 @@ def sbc_ranks(basis: LagBasis, n_processes: int, n_bins: int,
             size=(k, k))
         params = HawkesParams(background=background, weights=weights,
                               impulse=basis.expand(buckets))
-        events = simulate_branching(params, n_bins, rng)
-        fit = fit_gibbs(events, basis.max_lag, basis=basis, priors=priors,
-                        n_iterations=n_iterations, burn_in=burn_in,
-                        rng=rng)
-        draws = fit.weight_samples[::thin]
-        n_draws = len(draws)
-        ranks[rep] = (draws < weights).sum(axis=0).ravel()
-    return CalibrationRanks(ranks=ranks, n_draws=n_draws)
+        simulated.append(simulate_branching(params, n_bins, rng))
+        true_weights.append(weights)
+    fits = fit_gibbs_batched(simulated, basis.max_lag,
+                             rng.spawn(n_replications), basis=basis,
+                             priors=priors, n_iterations=n_iterations,
+                             burn_in=burn_in)
+    draws = fits.weight_samples[:, ::thin]
+    ranks = (draws < np.array(true_weights)[:, None]).sum(axis=1)
+    return CalibrationRanks(ranks=ranks.reshape(n_replications, k * k),
+                            n_draws=draws.shape[1])

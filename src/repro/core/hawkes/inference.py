@@ -11,19 +11,21 @@ Two fitters with the same interface:
   structure, with MAP updates under the same priors.  Deterministic and
   faster; used as an independent cross-check of the sampler.
 
-Both fitters run on the flat segment kernels of :mod:`.kernels`: parent
-candidates are enumerated once per ``(events, basis)`` (and cached on
-the events object), and every responsibility/exposure accumulation is
-vectorized.  Gibbs sweeps run in *bucket space*: candidate values
-gather ``buckets / bucket_size``, the exposure uses the closed-form
-truncation CDF, and the attribution tallies are ``np.bincount`` sums,
-so no ``(K, K, max_lag)`` array is built inside the loop and
-``basis.expand`` runs once, for the returned impulse.  Attribution is a
-single bulk uniform pass per sweep.  The sampler keeps seed-determinism
-but draws its randomness in a different order than the historical
-per-event ``multinomial`` sampler (the sampled distribution is
-unchanged).  EM keeps the per-lag kernels over the expanded PMF and is
-bit-identical to the historical per-event loops.
+Both fitters run on the flat segment kernels of :mod:`.kernels`, and
+every responsibility/exposure accumulation is vectorized.
+:func:`fit_gibbs` is the one-cascade call of
+:func:`~.batched.fit_gibbs_batched`, whose sweeps run in *bucket
+space*: candidate values gather ``buckets / bucket_size``, the exposure
+uses the closed-form truncation CDF, and the attribution tallies are
+``np.bincount`` sums, so no ``(K, K, max_lag)`` array is built inside
+the loop and ``basis.expand`` runs once, for the returned impulse.
+Attribution is a single bulk uniform pass per sweep.  The sampler keeps
+seed-determinism but draws its randomness in a different order than
+the historical per-event ``multinomial`` sampler (the sampled
+distribution is unchanged).  EM enumerates parent candidates once per
+``(events, basis)`` (cached on the events object), keeps the per-lag
+kernels over the expanded PMF, and is bit-identical to the historical
+per-event loops.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from ...obs import (
 )
 from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
-from .kernels import ParentStructure, get_parent_structure, \
-    sample_parent_attributions
+from .kernels import ParentStructure, get_parent_structure
 from .model import HawkesParams, discrete_log_likelihood
 
 #: Backwards-compatible alias; the class moved to :mod:`.kernels`.
@@ -129,73 +130,15 @@ def fit_gibbs(events: DiscreteEvents, max_lag: int,
     """Fit by Gibbs sampling; returns posterior means.
 
     Parameters mirror Section 5.2: ``max_lag`` is ``Delta t_max`` in bins
-    (720 for the paper's 12-hour window at 1-minute bins).
+    (720 for the paper's 12-hour window at 1-minute bins).  This is the
+    one-cascade call of :func:`~.batched.fit_gibbs_batched`, the only
+    Gibbs sweep.
     """
-    if burn_in >= n_iterations:
-        raise ValueError("burn_in must be smaller than n_iterations")
-    rng = rng or np.random.default_rng()
-    priors = priors or Priors()
-    basis = basis or LogBinnedLagBasis(max_lag)
-    if basis.max_lag != max_lag:
-        raise ValueError("basis.max_lag must equal max_lag")
-    k_procs = events.n_processes
-    fit_start = perf_counter()
-    structure = get_parent_structure(events, basis)
-    background, weights, buckets = _initial_state(events, basis, priors)
-
-    attribution_s = updates_s = 0.0
-    kept_bg: list[np.ndarray] = []
-    kept_w: list[np.ndarray] = []
-    kept_buckets: list[np.ndarray] = []
-    for sweep in range(n_iterations):
-        phase_start = perf_counter()
-        # -- parent attribution ------------------------------------------
-        flat_vals = structure.candidate_values(weights, buckets)
-        z_background, flat_draws = sample_parent_attributions(
-            structure, background, flat_vals, rng)
-        z_weight, z_bucket = structure.tally_draws(flat_draws)
-        attribution_s += perf_counter() - phase_start
-        # -- conjugate updates --------------------------------------------
-        phase_start = perf_counter()
-        background = rng.gamma(
-            priors.background_shape + z_background,
-            1.0 / (priors.background_rate + events.n_bins))
-        exposure = structure.bucket_exposure(buckets)
-        weights = rng.gamma(priors.weight_shape + z_weight,
-                            1.0 / (priors.weight_rate + exposure))
-        conc = priors.impulse_concentration + z_bucket
-        buckets = rng.gamma(conc, 1.0)  # Dirichlet via normalized Gammas
-        buckets = np.maximum(buckets, 1e-12)
-        buckets /= buckets.sum(axis=2, keepdims=True)
-        updates_s += perf_counter() - phase_start
-
-        if sweep >= burn_in:
-            kept_bg.append(background.copy())
-            kept_w.append(weights.copy())
-            kept_buckets.append(buckets.copy())
-
-    mean_bg = np.mean(kept_bg, axis=0)
-    mean_w = np.mean(kept_w, axis=0)
-    mean_buckets = np.mean(kept_buckets, axis=0)
-    mean_buckets /= mean_buckets.sum(axis=2, keepdims=True)
-    params = HawkesParams(background=mean_bg, weights=mean_w,
-                          impulse=basis.expand(mean_buckets))
-    samples = (np.array(kept_w) if keep_samples
-               else np.empty((0, k_procs, k_procs)))
-    phase_start = perf_counter()
-    log_likelihood = discrete_log_likelihood(params, events)
-    likelihood_s = perf_counter() - phase_start
-    _record_fit_metrics("gibbs", perf_counter() - fit_start, {
-        "attribution": attribution_s,
-        "updates": updates_s,
-        "likelihood": likelihood_s,
-    })
-    return FitResult(
-        params=params,
-        log_likelihood=log_likelihood,
-        weight_samples=samples,
-        n_iterations=n_iterations,
-    )
+    from .batched import fit_gibbs_batched  # batched imports this module
+    return fit_gibbs_batched(
+        [events], max_lag, [rng or np.random.default_rng()], basis=basis,
+        priors=priors, n_iterations=n_iterations, burn_in=burn_in,
+        keep_samples=keep_samples).fit_result(0)
 
 
 def fit_em(events: DiscreteEvents, max_lag: int,

@@ -1,14 +1,14 @@
 """Flat, segment-wise NumPy kernels for the discrete Hawkes core.
 
 Every hot path of the statistical core — candidate-parent enumeration,
-Gibbs parent attribution, exposure, rate evaluation, and the exact
+candidate values, exposure, rate evaluation, and the exact
 log-likelihood — is expressed here as a flat array program over
 *segments*: per-event candidate lists are concatenated into single
 arrays partitioned by an ``offsets`` vector, in the spirit of the
 vectorized conjugate updates of Linderman & Adams.  The fitters in
-:mod:`.inference`, the likelihood in :mod:`.model`, and the residual
-checks in :mod:`.diagnostics` all share these kernels, so no caller
-pays for a per-event Python loop.
+:mod:`.inference` and :mod:`.batched`, the likelihood in
+:mod:`.model`, and the residual checks in :mod:`.diagnostics` all
+share these kernels, so no caller pays for a per-event Python loop.
 
 Bit-compatibility contract
 --------------------------
@@ -23,15 +23,13 @@ in the last bits).  EM runs on the per-lag kernels
 (:meth:`ParentStructure.all_candidate_values`, :func:`exposure`) over
 the expanded ``(K, K, max_lag)`` PMF.
 
-The Gibbs sampler never expands the PMF: its sweeps run in bucket
-space on the closed forms of :class:`BucketKernels`, which it shares
-with batched EM (:mod:`.batched`):
+The Gibbs sampler (:func:`~.batched.fit_gibbs_batched`) never expands
+the PMF: its sweeps run in bucket space on the closed forms of
+:class:`BucketKernels`, which it shares with batched EM:
 
 * candidate values gather ``buckets / bucket_size`` — the division
   :meth:`LagBasis.expand` performs per lag — so they are bit-identical
   to the per-lag gather;
-* attribution tallies are ``np.bincount`` sums of integer draw counts,
-  so they are exact and equal to the ``np.add.at`` tallies;
 * the exposure uses the closed-form truncation CDF (cumulated buckets
   below the cap bucket plus the covered fraction of the cap bucket),
   which associates differently from the per-lag cumsum and agrees with
@@ -47,11 +45,12 @@ Caching
 :func:`get_parent_structure` memoizes the :class:`ParentStructure` on
 the (immutable) :class:`~repro.core.events.DiscreteEvents` instance,
 keyed by basis content, and :func:`get_query_structure` does the same
-for the default rate-evaluation grid.  EM, Gibbs, diagnostics, and —
-because the live refitter opts into memoized cascade binning
-(:func:`repro.core.influence.cascade_to_events` with ``memoize=True``)
-— repeated refits over the same window all reuse one build.  The cache
-dies with the events object (and is dropped from pickles by
+for the default rate-evaluation grid.  Per-URL EM, the likelihood,
+diagnostics, and — because the live refitter opts into memoized
+cascade binning (:func:`repro.core.influence.cascade_to_events` with
+``memoize=True``) — repeated refits over the same window all reuse one
+build; batched fits build one packed structure per batch instead.  The
+cache dies with the events object (and is dropped from pickles by
 ``DiscreteEvents.__getstate__``), so corpora of transient per-URL
 matrices cannot leak or bloat worker payloads.
 """
@@ -123,9 +122,9 @@ def sequential_row_sum(rows: np.ndarray, init: np.ndarray) -> np.ndarray:
 class BucketKernels:
     """Bucket-space closed forms over a flat candidate layout.
 
-    The one home of the bucket-level kernels shared by per-URL Gibbs
-    (:class:`ParentStructure`) and batched EM
-    (:class:`~.batched.BatchedParentStructure`).  Parameters are
+    The one home of the bucket-level kernels shared by batched Gibbs
+    and batched EM (:class:`~.batched.BatchedParentStructure`); the
+    per-URL :class:`ParentStructure` carries them too.  Parameters are
     addressed through raveled indices, so the same code serves a single
     cascade (``weights (K, K)``, ``buckets (K, K, B)``) and a batch with
     a leading cascade axis (``(C, K, K)``, ``(C, K, K, B)``).  A *row*
@@ -147,6 +146,7 @@ class BucketKernels:
         """
         self._pair_shape = tuple(pair_shape)
         self._bucket_index = self._pair * basis.n_buckets + self.flat_bucket
+        self._flat_bucket_size = basis.bucket_sizes[self.flat_bucket]
         # -- truncated-exposure precomputation (window-end effects) ------
         valid = capped > 0
         self.v_row = entry_row[valid]
@@ -158,6 +158,10 @@ class BucketKernels:
         # Fraction of the cap bucket's mass inside the truncation window.
         self.v_frac = ((cap - lags_below)
                        / basis.bucket_sizes[self.v_bucket])
+        # Raveled (row, destination) exposure cell of every CDF value.
+        k = pair_shape[-1]
+        self._v_cell = (self.v_row[:, None] * k
+                        + np.arange(k, dtype=np.int64)).reshape(-1)
 
     def candidate_values(self, weights: np.ndarray,
                          buckets: np.ndarray) -> np.ndarray:
@@ -175,7 +179,7 @@ class BucketKernels:
             return np.empty(0, dtype=np.float64)
         return (self.flat_cnt * weights.reshape(-1)[self._pair]
                 * (buckets.reshape(-1)[self._bucket_index]
-                   / self.basis.bucket_sizes[self.flat_bucket]))
+                   / self._flat_bucket_size))
 
     def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
         """Per-entry candidate-mass totals ``(n_entries,)``."""
@@ -185,21 +189,6 @@ class BucketKernels:
                                self.offsets[:-1])
         sums[self.sizes == 0] = 0.0
         return sums
-
-    def tally_draws(self, flat_draws: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Parent-attribution tallies ``(z_weight, z_bucket)``.
-
-        ``z_bucket`` is one ``np.bincount`` of the per-candidate child
-        counts over the raveled ``(.., K, K, B)`` cells, and ``z_weight``
-        its sum over buckets.  The counts are integers, so every
-        accumulation order gives the same (exact) floats.
-        """
-        shape = self._pair_shape + (self.basis.n_buckets,)
-        z_bucket = np.bincount(self._bucket_index, weights=flat_draws,
-                               minlength=int(np.prod(shape)))
-        z_bucket = z_bucket.reshape(shape)
-        return z_bucket.sum(axis=-1), z_bucket
 
     def truncation_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
         """Lag-CDF rows ``cdf[row, :, cap - 1]`` per valid entry.
@@ -216,13 +205,18 @@ class BucketKernels:
                 + self.v_frac[:, None] * rows[self.v_row, :, self.v_bucket])
 
     def bucket_exposure(self, buckets: np.ndarray) -> np.ndarray:
-        """Truncated exposure ``E[.., i, j]`` from the bucket PMFs."""
-        k = buckets.shape[-2]
-        out = np.zeros(buckets.shape[:-1])
-        if len(self.v_row):
-            np.add.at(out.reshape(-1, k), self.v_row,
-                      self.v_cnt[:, None] * self.truncation_cdf_rows(buckets))
-        return out
+        """Truncated exposure ``E[.., i, j]`` from the bucket PMFs.
+
+        One ``np.bincount`` over the raveled cells: it adds each cell's
+        terms in entry order starting from zero, the summation order of
+        ``np.add.at`` over the rows.
+        """
+        shape = buckets.shape[:-1]
+        if not len(self.v_row):
+            return np.zeros(shape)
+        terms = self.v_cnt[:, None] * self.truncation_cdf_rows(buckets)
+        return np.bincount(self._v_cell, weights=terms.reshape(-1),
+                           minlength=int(np.prod(shape))).reshape(shape)
 
 
 class ParentStructure(BucketKernels):
@@ -231,9 +225,8 @@ class ParentStructure(BucketKernels):
     For entry ``m`` (bin ``t``, process ``k``, count ``c``) the
     candidate parents are every earlier entry within ``max_lag`` bins.
     Candidates of all entries are stored concatenated; segment ``m``
-    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.  The bucket-space
-    kernels of :class:`BucketKernels` serve Gibbs; the per-lag kernels
-    below serve EM.
+    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.  The per-lag
+    kernels below serve per-URL EM.
     """
 
     def __init__(self, events: DiscreteEvents, basis: LagBasis) -> None:
@@ -266,15 +259,6 @@ class ParentStructure(BucketKernels):
     def _pmf_index(self) -> np.ndarray:
         """Gather index into the raveled per-lag ``(K, K, D)`` PMF (EM)."""
         return self._pair * self.basis.max_lag + self.flat_lag - 1
-
-    @cached_property
-    def draw_entry(self) -> np.ndarray:
-        """Entry index of each individual event draw: entry ``m``
-        repeated ``counts[m]`` times.  Built lazily (only the Gibbs
-        sampler needs it) and reused across sweeps.
-        """
-        return np.repeat(np.arange(len(self.events), dtype=np.int64),
-                         self.events.counts.astype(np.int64))
 
     # -- per-event views (introspection and tests; not on hot paths) ------
 
@@ -425,54 +409,3 @@ def get_query_structure(events: DiscreteEvents,
         cache[key] = structure
     return structure
 
-
-def sample_parent_attributions(structure: ParentStructure,
-                               background: np.ndarray,
-                               flat_vals: np.ndarray,
-                               rng: np.random.Generator,
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """One vectorized Gibbs attribution pass over every event.
-
-    Each of an entry's ``count`` events is independently attributed to
-    the background (mass ``background[dst]``) or to one candidate
-    parent (mass ``flat_vals`` within the entry's segment) — jointly a
-    multinomial draw per entry, realized as one bulk uniform pass and a
-    single ``searchsorted`` against the global candidate-mass cumsum.
-
-    Returns ``(z_background, flat_draws)``: background attribution
-    counts per process ``(K,)`` and per-candidate child counts ``(F,)``.
-    Entries with no admissible parent mass fall back to the background,
-    like the reference sampler.
-    """
-    events = structure.events
-    k_procs = events.n_processes
-    if not len(events):
-        return np.zeros(k_procs), np.zeros(0)
-    offsets = structure.offsets
-    dst_all = structure.dst
-    # Global cumulative candidate mass; segment m spans
-    # cum[offsets[m]] .. cum[offsets[m + 1]] (cum has a leading zero).
-    cum = np.zeros(len(flat_vals) + 1)
-    np.cumsum(flat_vals, out=cum[1:])
-    seg_mass = cum[offsets[1:]] - cum[offsets[:-1]]
-    bg_mass = background[dst_all]
-    totals = bg_mass + seg_mass
-
-    rep = structure.draw_entry
-    x = rng.random(len(rep)) * totals[rep]
-    to_background = ((x < bg_mass[rep])
-                     | (seg_mass[rep] <= 0) | (totals[rep] <= 0))
-    z_background = np.bincount(
-        dst_all[rep[to_background]], minlength=k_procs).astype(np.float64)
-
-    flat_draws = np.zeros(len(flat_vals))
-    cand = ~to_background
-    if cand.any():
-        rep_c = rep[cand]
-        lo, hi = offsets[:-1][rep_c], offsets[1:][rep_c]
-        targets = cum[lo] + (x[cand] - bg_mass[rep_c])
-        chosen = np.searchsorted(cum[1:], targets, side="right")
-        # Guard the last-ulp overshoot past the segment's own mass sum.
-        chosen = np.clip(chosen, lo, hi - 1)
-        flat_draws += np.bincount(chosen, minlength=len(flat_vals))
-    return z_background, flat_draws

@@ -33,17 +33,29 @@ from ..parallel.seeding import SeedLike
 from ..timeutil import Interval, in_any_interval
 from .events import DiscreteEvents, bin_timestamps
 from .hawkes.basis import LagBasis, LogBinnedLagBasis
-from .hawkes.batched import fit_em_batched
-from .hawkes.inference import FitResult, Priors, fit_em, fit_gibbs
+from .hawkes.batched import (
+    BatchedFitResult,
+    candidate_counts,
+    fit_em_batched,
+    fit_gibbs_batched,
+    split_by_candidates,
+)
+from .hawkes.inference import Priors, fit_em
 
 FitMethod = Literal["gibbs", "em"]
 Engine = Literal["per-url", "batched"]
 
-#: Cascades packed into one batched EM fit, at most.  Bounds the flat
+#: Cascades packed into one batched fit, at most.  Bounds the flat
 #: candidate arrays (memory scales with total events in the batch, not
 #: with the corpus) while keeping per-iteration dispatch cost amortized
 #: over enough cascades to matter.
 MAX_BATCH_CASCADES = 1024
+#: Candidate parents packed into one batched Gibbs fit, at most (a
+#: cascade with more is fitted alone).  A Gibbs sweep's peak memory
+#: grows by about 200 bytes per packed candidate; on paper-sized
+#: corpora (a few hundred to 10k candidates per URL) batches past this
+#: size save no further dispatch time but raise peak RSS.
+MAX_BATCH_CANDIDATES = 16384
 
 
 @dataclass(frozen=True)
@@ -203,24 +215,14 @@ def cascade_to_events(cascade: UrlCascade,
     return builder(cascade, tuple(processes), float(delta_t))
 
 
-def _fit_one_url(task: tuple[UrlCascade, np.random.SeedSequence | None],
-                 *, config: HawkesConfig, method: FitMethod,
+def _fit_one_url(cascade: UrlCascade, *, config: HawkesConfig,
                  processes: tuple[str, ...], basis: LagBasis,
-                 priors: Priors, keep_samples: bool,
-                 memoize_events: bool) -> UrlFit:
-    """Fit a single cascade; module-level so it crosses process lines."""
-    cascade, seed = task
+                 priors: Priors, memoize_events: bool) -> UrlFit:
+    """Per-URL EM fit of one cascade; module-level so it crosses
+    process lines."""
     events = cascade_to_events(cascade, processes, config.delta_t,
                                memoize=memoize_events)
-    if method == "gibbs":
-        result: FitResult = fit_gibbs(
-            events, config.max_lag_bins, basis=basis, priors=priors,
-            n_iterations=config.gibbs_iterations,
-            burn_in=config.gibbs_burn_in, rng=np.random.default_rng(seed),
-            keep_samples=keep_samples)
-    else:
-        result = fit_em(events, config.max_lag_bins, basis=basis,
-                        priors=priors)
+    result = fit_em(events, config.max_lag_bins, basis=basis, priors=priors)
     return UrlFit(
         url=cascade.url,
         category=cascade.category,
@@ -229,20 +231,13 @@ def _fit_one_url(task: tuple[UrlCascade, np.random.SeedSequence | None],
         event_counts=events.events_per_process(),
         n_bins=events.n_bins,
         log_likelihood=result.log_likelihood,
-        weight_samples=(result.weight_samples
-                        if keep_samples and method == "gibbs" else None),
     )
 
 
-def _fit_batch(chunk: Sequence[UrlCascade], *, config: HawkesConfig,
-               processes: tuple[str, ...], basis: LagBasis,
-               priors: Priors, memoize_events: bool) -> list[UrlFit]:
-    """Fit one packed batch of cascades; module-level for pickling."""
-    events_list = [cascade_to_events(c, processes, config.delta_t,
-                                     memoize=memoize_events)
-                   for c in chunk]
-    batch = fit_em_batched(events_list, config.max_lag_bins, basis=basis,
-                           priors=priors)
+def _url_fits(cascades: Sequence[UrlCascade],
+              events_list: Sequence[DiscreteEvents],
+              batch: BatchedFitResult, keep_samples: bool) -> list[UrlFit]:
+    """Slice one batched fit into per-URL results."""
     return [
         UrlFit(
             url=cascade.url,
@@ -252,9 +247,45 @@ def _fit_batch(chunk: Sequence[UrlCascade], *, config: HawkesConfig,
             event_counts=events.events_per_process(),
             n_bins=events.n_bins,
             log_likelihood=float(batch.log_likelihood[i]),
+            weight_samples=(batch.weight_samples[i].copy()
+                            if keep_samples else None),
         )
-        for i, (cascade, events) in enumerate(zip(chunk, events_list))
+        for i, (cascade, events) in enumerate(zip(cascades, events_list))
     ]
+
+
+def _fit_batch(chunk: Sequence[tuple[UrlCascade,
+                                     np.random.SeedSequence | None]], *,
+               method: FitMethod, config: HawkesConfig,
+               processes: tuple[str, ...], basis: LagBasis,
+               priors: Priors, keep_samples: bool,
+               memoize_events: bool) -> list[UrlFit]:
+    """Fit one packed batch of cascades; module-level for pickling.
+
+    Gibbs packs contiguous runs of at most
+    :data:`MAX_BATCH_CANDIDATES` candidate parents, each cascade with
+    the generator of its own task seed.
+    """
+    cascades = [cascade for cascade, _ in chunk]
+    events_list = [cascade_to_events(c, processes, config.delta_t,
+                                     memoize=memoize_events)
+                   for c in cascades]
+    if method == "em":
+        return _url_fits(cascades, events_list, fit_em_batched(
+            events_list, config.max_lag_bins, basis=basis, priors=priors),
+            keep_samples=False)
+    fits: list[UrlFit] = []
+    counts = candidate_counts(events_list, config.max_lag_bins)
+    for run in split_by_candidates(counts, MAX_BATCH_CANDIDATES):
+        batch = fit_gibbs_batched(
+            events_list[run], config.max_lag_bins,
+            [np.random.default_rng(seed) for _, seed in chunk[run]],
+            basis=basis, priors=priors,
+            n_iterations=config.gibbs_iterations,
+            burn_in=config.gibbs_burn_in, keep_samples=keep_samples)
+        fits += _url_fits(cascades[run], events_list[run], batch,
+                          keep_samples)
+    return fits
 
 
 def fit_corpus(cascades: Sequence[UrlCascade],
@@ -290,10 +321,12 @@ def fit_corpus(cascades: Sequence[UrlCascade],
     ``"batched"`` packs each chunk of cascades into one flat array
     program (:func:`~.hawkes.batched.fit_em_batched`) so thousands of
     small cascades fit as a handful of NumPy calls per EM sweep; it
-    requires ``method="em"`` and matches the per-URL path to floating
-    point tolerance (each cascade's result is bit-identical for every
-    batch composition, but batched and per-URL reductions associate
-    differently).
+    matches the per-URL path to floating point tolerance (each
+    cascade's result is bit-identical for every batch composition, but
+    batched and per-URL reductions associate differently).  Gibbs fits
+    always run batched (:func:`~.hawkes.batched.fit_gibbs_batched`),
+    which is bit-identical to fitting each URL alone, so for Gibbs the
+    engine changes nothing.
     """
     config = config or HawkesConfig()
     basis = basis or LogBinnedLagBasis(config.max_lag_bins)
@@ -301,10 +334,6 @@ def fit_corpus(cascades: Sequence[UrlCascade],
         raise ValueError(f"unknown fit method {method!r}")
     if engine not in ("per-url", "batched"):
         raise ValueError(f"unknown fit engine {engine!r}")
-    if engine == "batched" and method != "em":
-        raise ValueError(
-            "engine='batched' requires method='em' (Gibbs batching is "
-            "not implemented; see ROADMAP)")
     priors = Priors(
         background_shape=config.background_shape,
         background_rate=config.background_rate,
@@ -312,58 +341,64 @@ def fit_corpus(cascades: Sequence[UrlCascade],
         weight_rate=config.weight_rate,
         impulse_concentration=config.impulse_concentration,
     )
-    if engine == "batched":
+    processes = tuple(processes)
+    if method == "gibbs" or engine == "batched":
         return _fit_corpus_batched(
-            cascades, config=config, processes=tuple(processes),
-            basis=basis, priors=priors, progress=progress, n_jobs=n_jobs,
-            chunk_size=chunk_size, memoize_events=memoize_events)
-    if method == "gibbs":
-        seeds: Sequence[np.random.SeedSequence | None] = spawn_task_seeds(
-            rng, len(cascades))
-    else:  # EM is deterministic; don't advance the caller's seed state
-        seeds = [None] * len(cascades)
+            cascades, method=method, config=config, processes=processes,
+            basis=basis, priors=priors, rng=rng, progress=progress,
+            n_jobs=n_jobs, chunk_size=chunk_size,
+            keep_samples=keep_samples, memoize_events=memoize_events)
     fit_one = partial(
-        _fit_one_url, config=config, method=method,
-        processes=tuple(processes), basis=basis, priors=priors,
-        keep_samples=keep_samples, memoize_events=memoize_events)
+        _fit_one_url, config=config, processes=processes, basis=basis,
+        priors=priors, memoize_events=memoize_events)
     with span("fit_corpus", urls=len(cascades), method=method,
               engine="per-url", n_jobs=n_jobs):
-        fits = parallel_map(fit_one, zip(cascades, seeds), n_jobs=n_jobs,
+        fits = parallel_map(fit_one, cascades, n_jobs=n_jobs,
                             chunk_size=chunk_size, progress=progress)
-    return InfluenceResult(processes=tuple(processes), fits=fits)
+    return InfluenceResult(processes=processes, fits=fits)
 
 
 def _fit_corpus_batched(cascades: Sequence[UrlCascade], *,
-                        config: HawkesConfig, processes: tuple[str, ...],
-                        basis: LagBasis, priors: Priors,
+                        method: FitMethod, config: HawkesConfig,
+                        processes: tuple[str, ...], basis: LagBasis,
+                        priors: Priors, rng: SeedLike,
                         progress: Callable[[int, int], None] | None,
                         n_jobs: int | None, chunk_size: int | None,
+                        keep_samples: bool,
                         memoize_events: bool) -> InfluenceResult:
-    """Batched-engine corpus fit: each parallel task is one packed batch.
+    """Batched corpus fit: each parallel task is one packed batch.
 
     The corpus is split into contiguous batches of at most
     :data:`MAX_BATCH_CASCADES` cascades; ``parallel_map`` then fans the
     *batches* out over workers, so each worker runs one array program
     per batch instead of N tiny per-URL fits.  Cascades never interact
-    inside a batch, so the per-URL results are bit-identical for every
+    inside a batch, and each Gibbs cascade draws from the stream of its
+    corpus position, so the per-URL results are bit-identical for every
     batch size and worker count.
     """
     n_urls = len(cascades)
+    if method == "gibbs":
+        seeds: Sequence[np.random.SeedSequence | None] = spawn_task_seeds(
+            rng, n_urls)
+    else:  # EM is deterministic; don't advance the caller's seed state
+        seeds = [None] * n_urls
     workers = resolve_n_jobs(n_jobs)
     if chunk_size is None:
         chunk_size = (auto_chunk_size(n_urls, workers)
                       if workers > 1 else n_urls)
     batch_size = max(1, min(chunk_size, MAX_BATCH_CASCADES))
-    batches = [cascades[start:stop]
+    tasks = list(zip(cascades, seeds))
+    batches = [tasks[start:stop]
                for start, stop in iter_chunks(n_urls, batch_size)]
     fit_batch = partial(
-        _fit_batch, config=config, processes=processes, basis=basis,
-        priors=priors, memoize_events=memoize_events)
+        _fit_batch, method=method, config=config, processes=processes,
+        basis=basis, priors=priors, keep_samples=keep_samples,
+        memoize_events=memoize_events)
     batch_progress = None
     if progress is not None:
         def batch_progress(done: int, total: int) -> None:
             progress(min(done * batch_size, n_urls), n_urls)
-    with span("fit_corpus", urls=n_urls, method="em", engine="batched",
+    with span("fit_corpus", urls=n_urls, method=method, engine="batched",
               n_jobs=n_jobs):
         nested = parallel_map(fit_batch, batches, n_jobs=n_jobs,
                               chunk_size=1, progress=batch_progress)

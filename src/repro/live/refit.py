@@ -48,8 +48,9 @@ class RefitPolicy:
     #: Worker processes per refit (see :mod:`repro.parallel`); results
     #: are identical for any value, so this is purely a latency knob.
     n_jobs: int = 1
-    #: Corpus fit execution strategy; "batched" packs the window into
-    #: one array program per chunk (EM only, tolerance-equivalent).
+    #: EM corpus fit execution strategy; "batched" packs the window into
+    #: one array program per chunk (tolerance-equivalent).  Gibbs always
+    #: runs batched, bit-identical to per-URL fits.
     engine: Engine = "per-url"
 
 

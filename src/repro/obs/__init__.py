@@ -21,14 +21,22 @@ Metrics catalog, stage by stage
     repro_live_refit_corpus_urls            gauge      URLs in the last refit window
     repro_live_checkpoint_seconds           histogram  checkpoint save wall time
 
-**Hawkes fitters** (:mod:`repro.core.hawkes.inference`) ::
+**Hawkes fitters** (:mod:`repro.core.hawkes.inference` and
+:mod:`repro.core.hawkes.batched`; ``method`` is ``em`` for per-URL EM,
+``em-batched`` for batched EM and ``gibbs`` for Gibbs, which always
+runs batched) ::
 
-    repro_fit_total{method}                 counter    completed per-URL fits
-    repro_fit_seconds{method}               histogram  one fit, wall time
+    repro_fit_total{method}                 counter    completed fits, one per URL
+    repro_fit_seconds{method}               histogram  one per-URL EM fit, wall time
     repro_fit_em_iterations                 histogram  EM iterations to convergence
     repro_fit_em_convergence_delta          histogram  final relative log-likelihood delta
-    repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase
-                                                       (attribution / updates / likelihood)
+    repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase and fit
+                                                       or batch (attribution / updates /
+                                                       likelihood)
+    repro_fit_batch_total{method}           counter    batched fits (method em | gibbs)
+    repro_fit_batch_cascades{method}        histogram  cascades packed into one batch
+    repro_fit_batch_iterations{method}      histogram  sweeps until the batch finished
+    repro_fit_batch_seconds{method}         histogram  one batched fit, wall time
 
 **Parallel fan-out** (:mod:`repro.parallel`) — per-worker metrics are
 collected in the worker (:func:`collecting`), shipped back with the

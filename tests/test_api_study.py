@@ -113,9 +113,11 @@ class TestStageKeys:
                 == Study(seed=3, method="em",
                          engine="batched").stage_key("fits"))
 
-    def test_batched_engine_requires_em(self):
-        with pytest.raises(ValueError, match="method='em'"):
-            Study(seed=3, engine="batched")
+    def test_batched_engine_accepts_gibbs(self):
+        # Gibbs always runs batched, so the engine changes no Gibbs key.
+        study = Study(seed=3, engine="batched")
+        assert study.method == "gibbs"
+        assert study.stage_key("fits") == Study(seed=3).stage_key("fits")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):

@@ -135,10 +135,12 @@ class TestGoldenBatchedEquivalence:
 
 
 class TestEngineValidation:
-    def test_batched_requires_em(self):
-        with pytest.raises(ValueError, match="method='em'"):
-            fit_corpus(build_corpus(2, 4), FAST, method="gibbs",
-                       engine="batched")
+    def test_batched_gibbs_matches_per_url_engine(self):
+        corpus = build_corpus(3, 4)
+        per_url = fit_corpus(corpus, FAST, method="gibbs", rng=1)
+        batched = fit_corpus(corpus, FAST, method="gibbs", rng=1,
+                             engine="batched")
+        assert_results_bit_identical(per_url, batched)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):

@@ -35,6 +35,8 @@ from repro.core.hawkes.model import (
 )
 from repro.core.hawkes.simulation import simulate_branching
 
+from gibbs_reference import sample_parent_attributions
+
 
 # ---------------------------------------------------------------------------
 # Naive reference implementations (historical per-event loops)
@@ -534,11 +536,13 @@ class TestBucketSpaceKernels:
 
     def test_bincount_tallies_bit_equal_to_add_at(self, medium_case,
                                                   basis_name):
+        # Gibbs tallies one np.bincount of the chosen candidates' bucket
+        # cells; it must equal the add.at tally of per-candidate counts.
         _, events = medium_case
         basis = BASES[basis_name]
         structure = kernels.ParentStructure(events, basis)
         weights, buckets = random_buckets(basis, 1)
-        _, flat_draws = kernels.sample_parent_attributions(
+        _, flat_draws = sample_parent_attributions(
             structure, np.full(2, 0.01),
             structure.candidate_values(weights, buckets),
             np.random.default_rng(2))
@@ -549,8 +553,13 @@ class TestBucketSpaceKernels:
                   flat_draws)
         np.add.at(z_bucket, (structure.flat_src, structure.flat_dst,
                              structure.flat_bucket), flat_draws)
-        tallied_weight, tallied_bucket = structure.tally_draws(flat_draws)
-        assert np.array_equal(tallied_weight, z_weight)
+        chosen = np.repeat(np.arange(len(flat_draws)),
+                           flat_draws.astype(np.int64))
+        tallied_bucket = (
+            np.bincount(structure._bucket_index[chosen],
+                        minlength=z_bucket.size).reshape(z_bucket.shape)
+            + 0.0)
+        assert np.array_equal(tallied_bucket.sum(axis=-1), z_weight)
         assert np.array_equal(tallied_bucket, z_bucket)
 
     def test_closed_form_exposure_matches_per_lag(self, window_end_case,
@@ -644,7 +653,7 @@ class TestGibbsEquivalence:
                                        1.0 / basis.n_buckets))
         flat_vals = structure.all_candidate_values(
             np.full((2, 2), 0.2), lag_pmf)
-        z_bg, flat_draws = kernels.sample_parent_attributions(
+        z_bg, flat_draws = sample_parent_attributions(
             structure, background, flat_vals, np.random.default_rng(0))
         assert z_bg.sum() + flat_draws.sum() == events.total_events
         # Per-entry conservation: each entry's draws sum to its count.
@@ -659,7 +668,7 @@ class TestGibbsEquivalence:
         structure = kernels.ParentStructure(events, DirichletLagBasis(10))
         flat_vals = structure.all_candidate_values(
             np.ones((2, 2)), np.full((2, 2, 10), 0.1))
-        z_bg, flat_draws = kernels.sample_parent_attributions(
+        z_bg, flat_draws = sample_parent_attributions(
             structure, np.array([0.01, 0.01]), flat_vals,
             np.random.default_rng(0))
         assert z_bg.tolist() == [1.0, 1.0]
@@ -671,7 +680,7 @@ class TestGibbsEquivalence:
         structure = kernels.ParentStructure(events, DirichletLagBasis(5))
         flat_vals = structure.all_candidate_values(
             np.zeros((1, 1)), np.full((1, 1, 5), 0.2))
-        z_bg, flat_draws = kernels.sample_parent_attributions(
+        z_bg, flat_draws = sample_parent_attributions(
             structure, np.zeros(1), flat_vals, np.random.default_rng(0))
         assert z_bg.tolist() == [2.0]
         assert flat_draws.sum() == 0
