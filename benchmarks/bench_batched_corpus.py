@@ -1,15 +1,13 @@
-"""Batched vs per-URL corpus fits: urls/sec per engine × corpus shape.
+"""Batched vs per-URL corpus fits: urls/sec per method × corpus shape.
 
 Batching exists for exactly one workload: many small cascades, where a
 per-URL fit is NumPy-dispatch-bound (hundreds of kernel launches per
-URL on arrays with tens of elements).  This bench fits the same
-synthetic corpora with ``engine="per-url"`` and ``engine="batched"``
-EM (both ``n_jobs=1``, so the comparison isolates the packing, not
-process fan-out), checks the results agree within tolerance, and
-reports urls/sec plus the batched speedup per shape.  A second case
-times Gibbs: one ``fit_gibbs`` call per URL (one-cascade batches)
-against ``fit_corpus``, which packs chunks of cascades, and checks the
-two are bit-identical.
+URL on arrays with tens of elements).  For each method this bench fits
+the same synthetic corpora with one ``fit_em`` / ``fit_gibbs`` call per
+URL (one-cascade batches) and with ``fit_corpus``, which packs chunks
+of cascades (both ``n_jobs=1``, so the comparison isolates the
+packing, not process fan-out), checks the two are bit-identical, and
+reports urls/sec plus the batched speedup per shape.
 
 Each run emits ``results/BENCH_batched_corpus.json``; ``BENCH_SMOKE=1``
 shrinks the corpora for a fast CI pass (the JSON is emitted either
@@ -24,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
-from repro.core.hawkes import LogBinnedLagBasis, fit_gibbs
+from repro.core.hawkes import LogBinnedLagBasis, fit_em, fit_gibbs
 from repro.core.hawkes.inference import Priors
 from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
 from repro.parallel import spawn_task_seeds
@@ -85,10 +83,31 @@ def build_corpus(n_urls, events_per_url, seed):
     return cascades
 
 
-def _timed_fit(corpus, engine):
+def _priors(config):
+    return Priors(background_shape=config.background_shape,
+                  background_rate=config.background_rate,
+                  weight_shape=config.weight_shape,
+                  weight_rate=config.weight_rate,
+                  impulse_concentration=config.impulse_concentration)
+
+
+def _per_url_em(corpus):
+    """One ``fit_em`` call per URL, configured as ``fit_corpus`` is."""
+    config = BENCH_HAWKES
+    basis = LogBinnedLagBasis(config.max_lag_bins)
+    return [fit_em(cascade_to_events(cascade), config.max_lag_bins,
+                   basis=basis, priors=_priors(config))
+            for cascade in corpus]
+
+
+def _timed(fn, *args):
     start = time.perf_counter()
-    result = fit_corpus(corpus, BENCH_HAWKES, method="em", engine=engine)
+    result = fn(*args)
     return result, time.perf_counter() - start
+
+
+def _batched_em(corpus):
+    return fit_corpus(corpus, BENCH_HAWKES, method="em")
 
 
 def test_bench_batched_corpus(benchmark, save_result):
@@ -98,23 +117,21 @@ def test_bench_batched_corpus(benchmark, save_result):
     rows = []
     for name, n_urls, events_per_url in SHAPES:
         corpus = corpora[name]
+        per_url, per_url_s = _timed(_per_url_em, corpus)
         if name == first_shape:
             # One shape goes through the benchmark fixture so the run
             # is visible to pytest-benchmark's own reporting.
-            per_url, per_url_s = benchmark.pedantic(
-                _timed_fit, args=(corpus, "per-url"),
-                rounds=1, iterations=1)
+            batched, batched_s = benchmark.pedantic(
+                _timed, args=(_batched_em, corpus), rounds=1, iterations=1)
         else:
-            per_url, per_url_s = _timed_fit(corpus, "per-url")
-        batched, batched_s = _timed_fit(corpus, "batched")
-        # The engines must agree before their timings are comparable.
-        for ref, got in zip(per_url.fits, batched.fits):
-            np.testing.assert_allclose(got.weights, ref.weights,
-                                       rtol=5e-3, atol=1e-8)
+            batched, batched_s = _timed(_batched_em, corpus)
+        for ref, got in zip(per_url, batched.fits):
+            assert np.array_equal(got.weights, ref.weights)
+            assert got.log_likelihood == ref.log_likelihood
         speedup = per_url_s / batched_s
-        for engine, elapsed in (("per-url", per_url_s),
-                                ("batched", batched_s)):
-            _RESULTS[f"{name}/{engine}"] = {
+        for mode, elapsed in (("per-url", per_url_s),
+                              ("batched", batched_s)):
+            _RESULTS[f"{name}/{mode}"] = {
                 "ops_per_sec": n_urls / elapsed,
                 "mean_seconds": elapsed / n_urls,
                 "wall_seconds": elapsed,
@@ -130,7 +147,7 @@ def test_bench_batched_corpus(benchmark, save_result):
     table = render_table(
         ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
          "Speedup"],
-        rows, title=f"Corpus EM engines, n_jobs=1, max_lag="
+        rows, title=f"Corpus EM, n_jobs=1, max_lag="
                     f"{BENCH_HAWKES.max_lag_bins}"
                     f"{' (smoke)' if SMOKE else ''}")
     save_result("batched_corpus_throughput.txt", table)
@@ -142,13 +159,8 @@ def _per_url_gibbs(corpus, seed):
     """One ``fit_gibbs`` call per URL, seeded as ``fit_corpus`` seeds."""
     config = GIBBS_HAWKES
     basis = LogBinnedLagBasis(config.max_lag_bins)
-    priors = Priors(background_shape=config.background_shape,
-                    background_rate=config.background_rate,
-                    weight_shape=config.weight_shape,
-                    weight_rate=config.weight_rate,
-                    impulse_concentration=config.impulse_concentration)
     return [fit_gibbs(cascade_to_events(cascade), config.max_lag_bins,
-                      basis=basis, priors=priors,
+                      basis=basis, priors=_priors(config),
                       n_iterations=config.gibbs_iterations,
                       burn_in=config.gibbs_burn_in,
                       rng=np.random.default_rng(task_seed),
@@ -171,9 +183,9 @@ def test_bench_batched_gibbs_corpus(save_result):
             assert np.array_equal(got.weights, ref.weights)
             assert got.log_likelihood == ref.log_likelihood
         speedup = per_url_s / batched_s
-        for engine, elapsed in (("per-url", per_url_s),
-                                ("batched", batched_s)):
-            _RESULTS[f"gibbs-{name}/{engine}"] = {
+        for mode, elapsed in (("per-url", per_url_s),
+                              ("batched", batched_s)):
+            _RESULTS[f"gibbs-{name}/{mode}"] = {
                 "ops_per_sec": GIBBS_URLS / elapsed,
                 "mean_seconds": elapsed / GIBBS_URLS,
                 "wall_seconds": elapsed,

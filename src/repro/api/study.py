@@ -34,7 +34,6 @@ from ..platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from ..obs import DEFAULT_TIME_BUCKETS, get_registry, span
 from ..core.influence import (
     CorpusSummary,
-    Engine,
     FitMethod,
     InfluenceResult,
     UrlCascade,
@@ -83,14 +82,11 @@ class Study:
     synthetic world, ``hawkes`` / ``method`` / ``fit_seed`` /
     ``max_urls`` the Section-5 corpus fit, and ``n_jobs`` the worker
     fan-out (a pure execution knob — results and therefore artifact
-    keys are identical for any value).
-    ``engine`` picks the EM execution strategy (``"per-url"`` golden
-    reference or ``"batched"`` packed array program; Gibbs always runs
-    batched, bit-identical to per-URL fits); like ``n_jobs`` it is an
-    execution knob equivalent to floating-point tolerance, so it is
-    likewise excluded from artifact keys.  ``cache_dir`` persists
-    artifacts on disk, shared across processes; ``store`` injects a
-    prebuilt :class:`ArtifactStore` instead.
+    keys are identical for any value).  Both fit methods pack the
+    corpus into batched array programs that give each URL the bits of
+    fitting it alone.  ``cache_dir`` persists artifacts on disk, shared
+    across processes; ``store`` injects a prebuilt
+    :class:`ArtifactStore` instead.
     """
 
     def __init__(self, world: WorldConfig | None = None, *,
@@ -105,7 +101,6 @@ class Study:
                  n_jobs: int | None = 1,
                  stream_seed: int = 0,
                  keep_samples: bool = False,
-                 engine: Engine = "per-url",
                  cache_dir=None,
                  store: ArtifactStore | None = None) -> None:
         # ``scenario`` (a name like "gab", an id like "gab@v1", or a
@@ -138,10 +133,7 @@ class Study:
             method = scenario.method if scenario is not None else "gibbs"
         if method not in ("gibbs", "em"):
             raise ValueError(f"unknown fit method {method!r}")
-        if engine not in ("per-url", "batched"):
-            raise ValueError(f"unknown fit engine {engine!r}")
         self.method: FitMethod = method
-        self.engine: Engine = engine
         self.max_urls = max_urls
         self.gaps = tuple(gaps)
         self.trim_fraction = trim_fraction
@@ -213,8 +205,7 @@ class Study:
                           processes=self.ecosystem.processes,
                           rng=self._fit_seed_root(),
                           n_jobs=self.n_jobs,
-                          keep_samples=self.keep_samples,
-                          engine=self.engine)
+                          keep_samples=self.keep_samples)
 
     def _world_params(self) -> dict:
         # The scenario id participates in the root key (and therefore in

@@ -67,16 +67,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
              "cores); results are identical for any value")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("per-url", "batched"), default="per-url",
-        help="EM corpus fit execution strategy: 'per-url' fits one "
-             "cascade at a time (golden reference); 'batched' packs each "
-             "chunk into one array program (results match per-url EM to "
-             "floating-point tolerance).  Gibbs fits always run batched, "
-             "bit-identical to per-url fits")
-
-
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", default=None, metavar="NAME",
@@ -133,7 +123,6 @@ def _study(args: argparse.Namespace, **overrides):
     kwargs = {
         "max_urls": getattr(args, "max_urls", None),
         "n_jobs": getattr(args, "jobs", 1),
-        "engine": getattr(args, "engine", "per-url"),
         "cache_dir": getattr(args, "cache", None),
     }
     scenario = getattr(args, "scenario", None)
@@ -230,8 +219,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         refitter = WindowedHawkesRefitter(
             policy=RefitPolicy(every_records=args.refit_every,
                                max_urls=args.refit_max_urls,
-                               n_jobs=args.jobs,
-                               engine=args.engine),
+                               n_jobs=args.jobs),
             seed=args.seed)
     publish_store = None
     if args.cache is not None:
@@ -507,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="supervise sources and append quarantined "
                            "records to this dead-letter sidecar")
     _add_jobs_arg(live)
-    _add_engine_arg(live)
     _add_cache_arg(live)
     live.set_defaults(func=cmd_live)
 
@@ -546,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--skip-influence", action="store_true")
     validate.add_argument("--max-urls", type=int, default=150)
     _add_jobs_arg(validate)
-    _add_engine_arg(validate)
     _add_cache_arg(validate)
     validate.set_defaults(func=cmd_validate)
 
@@ -557,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--skip-influence", action="store_true")
     report.add_argument("--max-urls", type=int, default=120)
     _add_jobs_arg(report)
-    _add_engine_arg(report)
     _add_cache_arg(report)
     report.set_defaults(func=cmd_report)
 
@@ -568,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8731)
     serve.add_argument("--max-urls", type=int, default=120)
     _add_jobs_arg(serve)
-    _add_engine_arg(serve)
     _add_cache_arg(serve)
     serve.set_defaults(func=cmd_serve)
 

@@ -12,9 +12,10 @@ Submodules
 ``basis``       lag-PMF parameterizations (full Dirichlet, log-binned)
 ``kernels``     flat segment-wise array kernels shared by all of the above
 ``simulation``  exact branching sampler and a stepwise cross-check sampler
-``inference``   Gibbs sampler with conjugate updates, plus an EM fitter
-``batched``     batched EM and Gibbs over packed corpora (one array program
-                per batch)
+``inference``   priors and the per-URL fitters (Gibbs sampler, EM), each
+                the one-cascade call of ``batched``
+``batched``     EM and Gibbs over packed corpora (one array program per
+                batch, the same bits as fitting each URL alone)
 """
 
 from .basis import DirichletLagBasis, LagBasis, LogBinnedLagBasis

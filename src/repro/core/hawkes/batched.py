@@ -27,43 +27,50 @@ live in :class:`~.kernels.BucketKernels`.
 
 Equivalence contracts
 ---------------------
-*Gibbs is bit-identical to fitting each URL alone.*  Each cascade
-keeps its own generator and draws in the per-URL order, and every
-reduction either stays per cascade (the candidate-mass cumsum and its
-``searchsorted``, the posterior means of background and weights) or
-sums in the same sequential order as the per-URL sweep (integer
-attribution tallies, the exposure, the running bucket sum).  The
-frozen per-URL sweep in ``tests/gibbs_reference.py`` pins this for
-every batch composition, chunk size and worker count.
+Both fitters are *bit-identical to fitting each URL alone*, for every
+batch composition, chunk size and worker count: no reduction ever
+associates values of two cascades.
 
-*EM matches per-URL EM to tolerance.*  Within one cascade, the E-step
-reproduces :func:`~.inference.fit_em`'s floating-point evaluation order
-exactly (same ``count * weight * pmf`` products, same
-``np.add.at``/``reduceat`` accumulation order).  The exposure and
-likelihood reductions associate differently: bucket-level closed forms
-replace per-lag cumsums over the expanded ``(K, K, D)`` PMF, which
-would not fit in memory with a cascade axis.  Batched EM therefore
-matches the per-URL EM path to floating-point *tolerance* — pinned by
-``tests/test_batched_equivalence.py``.  Cascades never interact, so a
-cascade's fitted parameters are bit-identical for every batch
-composition, worker count, and chunk size.
+*Gibbs.*  Each cascade keeps its own generator and draws in the
+per-URL order, and every reduction either stays per cascade (the
+candidate-mass cumsum and its ``searchsorted``, the posterior means of
+background and weights) or sums in the same sequential order as the
+per-URL sweep (integer attribution tallies, the exposure, the running
+bucket sum).  The frozen per-URL sweep in ``tests/gibbs_reference.py``
+pins this.
+
+*EM.*  Every step reproduces the historical per-event EM loops (the
+frozen ``naive_fit_em`` of ``tests/test_hawkes_kernels.py``) bit for
+bit.  Candidate products multiply as ``count * weight * pmf``; the
+per-entry candidate masses are one ``np.add.reduceat`` with a ``0.0``
+pad after *each cascade's* candidate block, because NumPy reduces a
+segment as ``a[0] + pairwise(a[1:])`` and the pad regroups the last
+entry's pairwise blocks exactly as it does for a lone cascade; the
+scatter-adds are sequential (``np.add.at``/``np.bincount``); the lag
+CDF is one sequential pass over the lags, the order of the per-lag
+``np.cumsum`` (:meth:`BatchedParentStructure.lag_cdf_rows`); and the
+likelihood sums each entry's rate from its background, each cascade's
+log terms in entry order and its rate integral per process from
+``background * n_bins``, as :func:`~.model.discrete_log_likelihood`
+does.  :func:`~.inference.fit_em` is the one-cascade call.
 
 EM convergence uses per-cascade freeze masks: the iteration a cascade's
-relative log-likelihood delta drops below ``tol`` — exactly when
-``fit_em`` would break — its parameters and likelihood freeze while
-the rest of the batch keeps iterating.
+relative log-likelihood delta drops below ``tol`` its parameters and
+likelihood freeze while the rest of the batch keeps iterating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from time import perf_counter
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from ...obs import DEFAULT_COUNT_BUCKETS, get_registry
+from ...obs import DEFAULT_COUNT_BUCKETS, DEFAULT_DELTA_BUCKETS, get_registry
 from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
@@ -137,7 +144,10 @@ class BatchedParentStructure(BucketKernels):
     work is flat gathers, products, and sequential scatter-adds — for
     the whole batch at once.  The bucket-space kernels (candidate
     values, truncation CDF, exposure) are those of
-    :class:`~.kernels.BucketKernels`, shared by batched EM and Gibbs.
+    :class:`~.kernels.BucketKernels`, shared by batched EM and Gibbs;
+    the EM-only kernels below (candidate masses, exact lag CDF, entry
+    rates, rate integrals) build their layouts on first use, so Gibbs
+    batches never hold them.
     """
 
     def __init__(self, packed: PackedCascades, basis: LagBasis) -> None:
@@ -167,6 +177,168 @@ class BatchedParentStructure(BucketKernels):
             np.minimum(remaining, basis.max_lag),
             (packed.n_cascades, k, k))
         self.v_cascade = self.v_row // k
+
+    # -- EM kernels ----------------------------------------------------------
+
+    @cached_property
+    def _padded_segments(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``np.add.reduceat`` layout with one ``0.0`` pad after each
+        cascade's candidates: (segment starts, candidate positions,
+        padded length)."""
+        has_entries = np.diff(self.packed.entry_offsets) > 0
+        pads_before = np.cumsum(has_entries) - has_entries
+        shift = pads_before[self.packed.cascade_of]
+        positions = (np.arange(len(self._pair), dtype=np.int64)
+                     + np.repeat(shift, self.sizes))
+        return (self.offsets[:-1] + shift, positions,
+                len(self._pair) + int(has_entries.sum()))
+
+    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
+        """Per-entry candidate-mass totals ``(n_entries,)``.
+
+        Each cascade's last segment carries one ``0.0`` pad, as the
+        padded ``reduceat`` of a lone cascade does, so every segment
+        sums in the same pairwise grouping as when fitted alone.
+        """
+        starts, positions, length = self._padded_segments
+        if not len(starts):
+            return np.zeros(0)
+        padded = np.zeros(length)
+        padded[positions] = flat_vals
+        sums = np.add.reduceat(padded, starts)
+        sums[self.sizes == 0] = 0.0
+        return sums
+
+    @cached_property
+    def _cdf_plan(self) -> dict:
+        """Layout of :meth:`lag_cdf_rows`.
+
+        ``rows`` are the rows that own a valid entry.  Entries at the
+        largest cap (``late``) read the accumulator after the pass.
+        Every other entry (``early``) replays its cap's bucket from the
+        accumulator as that bucket began: sorted by how many of the
+        bucket's lags its cap covers, descending, replay step ``j``
+        advances a prefix of them, and ``replay`` run-length encodes
+        the prefix lengths as ``(length, steps)``.
+        """
+        basis = self.basis
+        rows, row_of = np.unique(self.v_row, return_inverse=True)
+        max_cap = int(self.v_cap.max(initial=0))
+        early = np.flatnonzero(self.v_cap < max_cap)
+        bucket = basis.bucket_of[self.v_cap[early] - 1]
+        bucket_start = np.cumsum(basis.bucket_sizes) - basis.bucket_sizes
+        covered = self.v_cap[early] - bucket_start[bucket]
+        order = np.argsort(-covered, kind="stable")
+        early, bucket, covered = early[order], bucket[order], covered[order]
+        lengths = np.searchsorted(
+            -covered, -np.arange(1, covered.max(initial=0) + 1),
+            side="right")
+        late = np.flatnonzero(self.v_cap == max_cap)
+        return {"rows": rows, "max_cap": max_cap,
+                "late": late, "late_rows": row_of[late],
+                "early": early, "early_rows": row_of[early],
+                "early_bucket": bucket,
+                "replay": [(length, len(list(steps))) for length, steps
+                           in groupby(lengths.tolist())]}
+
+    def lag_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
+        """Lag-CDF rows ``cdf[row, :, cap - 1]`` per valid entry,
+        ``(n_valid, K)``, bit for bit ``np.cumsum(basis.expand(buckets),
+        axis=-1)`` at each entry's truncation point.
+
+        One sequential pass over the lags below the largest cap adds
+        each lag's PMF value (bucket over bucket size, the division of
+        :meth:`LagBasis.expand`) onto an accumulator over the rows that
+        own a valid entry, keeping the accumulator as each bucket
+        begins.  An entry with a smaller cap repeats the same additions
+        from its bucket's start value up to its cap, all such entries
+        at once.  Memory is O(rows x K x buckets), never O(rows x K x
+        max_lag).
+        """
+        k, n_buckets = buckets.shape[-2:]
+        plan = self._cdf_plan
+        rows = plan["rows"]
+        out = np.empty((len(self.v_row), k))
+        if not len(rows):
+            return out
+        per_lag = np.ascontiguousarray(
+            (buckets.reshape(-1, k, n_buckets)[rows]
+             / self.basis.bucket_sizes).transpose(2, 0, 1))
+        acc = np.zeros((len(rows), k))
+        starts = np.empty_like(per_lag)
+        lag, max_cap = 0, plan["max_cap"]
+        for bucket, size in enumerate(self.basis.bucket_sizes.tolist()):
+            if lag >= max_cap:
+                break
+            starts[bucket] = acc
+            step = per_lag[bucket]
+            for _ in range(min(size, max_cap - lag)):
+                np.add(acc, step, out=acc)
+            lag += size
+        out[plan["late"]] = acc[plan["late_rows"]]
+        early_bucket, early_rows = plan["early_bucket"], plan["early_rows"]
+        replayed = starts[early_bucket, early_rows]
+        step = per_lag[early_bucket, early_rows]
+        for length, n_steps in plan["replay"]:
+            head, head_step = replayed[:length], step[:length]
+            for _ in range(n_steps):
+                np.add(head, head_step, out=head)
+        out[plan["early"]] = replayed
+        return out
+
+    @cached_property
+    def _rate_index(self) -> np.ndarray:
+        """Entry of each rate term: every entry's background, then every
+        candidate in entry order."""
+        entries = np.arange(len(self.entry_cell), dtype=np.int64)
+        return np.concatenate([entries, np.repeat(entries, self.sizes)])
+
+    def entry_rates(self, background: np.ndarray, weights: np.ndarray,
+                    buckets: np.ndarray) -> np.ndarray:
+        """Rate ``lambda`` at every entry, ``(n_entries,)``.
+
+        Each entry sums its background, then each candidate's ``count *
+        (W * pmf)`` in order — the terms and the order of
+        :meth:`~.kernels.QueryStructure.add_rates`.
+        """
+        terms = self.flat_cnt * (
+            weights.reshape(-1)[self._pair]
+            * (buckets.reshape(-1)[self._bucket_index]
+               / self._flat_bucket_size))
+        return np.bincount(
+            self._rate_index,
+            weights=np.concatenate([background.reshape(-1)[self.entry_cell],
+                                    terms]),
+            minlength=len(self.entry_cell))
+
+    @cached_property
+    def _integral_cell(self) -> np.ndarray:
+        """Raveled ``(C, K)`` cell of each rate-integral term: every
+        cell's ``background * n_bins``, then each valid entry's row."""
+        n_casc, k = self.packed.n_cascades, self.packed.n_processes
+        procs = np.arange(k, dtype=np.int64)
+        return np.concatenate([
+            np.arange(n_casc * k, dtype=np.int64),
+            (self.v_cascade[:, None] * k + procs).reshape(-1)])
+
+    def rate_integrals(self, background: np.ndarray, weights: np.ndarray,
+                       cdf_rows: np.ndarray) -> np.ndarray:
+        """``sum_{t,k} lambda[t, k]`` per cascade, ``(C,)``.
+
+        Per process: ``background * n_bins``, then each valid entry's
+        ``(count * W[src, :]) * cdf`` in entry order (the order of
+        :func:`~.kernels.truncated_kernel_mass`), then the sum over
+        processes.
+        """
+        k = self.packed.n_processes
+        init = background * self.packed.n_bins[:, None]
+        rows = (self.v_cnt[:, None] * weights.reshape(-1, k)[self.v_row]
+                * cdf_rows)
+        cells = np.bincount(
+            self._integral_cell,
+            weights=np.concatenate([init.reshape(-1), rows.reshape(-1)]),
+            minlength=init.size)
+        return cells.reshape(init.shape).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,16 +399,14 @@ def _record_batch_metrics(method: str, n_cascades: int, iterations: int,
                           total: float, phases: dict[str, float]) -> None:
     """Observe one completed batched fit (pure timing, RNG-free).
 
-    ``repro_fit_total`` counts one fit per cascade, under ``gibbs`` for
-    Gibbs (its only engine) and ``em-batched`` for batched EM.
+    ``repro_fit_total`` counts one fit per cascade.
     """
-    fit_label = "em-batched" if method == "em" else method
     registry = get_registry()
     registry.counter("repro_fit_batch_total",
                      "Completed batched corpus fits.", method=method).inc()
     registry.counter("repro_fit_total",
                      "Completed per-URL Hawkes fits.",
-                     method=fit_label).inc(n_cascades)
+                     method=method).inc(n_cascades)
     registry.histogram("repro_fit_batch_cascades",
                        "Cascades packed into one batched fit.",
                        edges=DEFAULT_COUNT_BUCKETS,
@@ -251,7 +421,26 @@ def _record_batch_metrics(method: str, n_cascades: int, iterations: int,
     phase_help = "Kernel wall time per fit phase, summed over sweeps."
     for phase, seconds in phases.items():
         registry.histogram("repro_fit_phase_seconds", phase_help,
-                           method=fit_label, phase=phase).observe(seconds)
+                           method=method, phase=phase).observe(seconds)
+
+
+def _record_em_convergence(n_iterations: np.ndarray,
+                           final_delta: np.ndarray) -> None:
+    """Observe each cascade's EM iterations and its final relative
+    log-likelihood delta (skipped while not finite, e.g. after one
+    sweep)."""
+    registry = get_registry()
+    iterations = registry.histogram(
+        "repro_fit_em_iterations", "EM iterations to convergence.",
+        edges=DEFAULT_COUNT_BUCKETS)
+    deltas = registry.histogram(
+        "repro_fit_em_convergence_delta",
+        "Final relative log-likelihood delta at EM termination.",
+        edges=DEFAULT_DELTA_BUCKETS)
+    for count, delta in zip(n_iterations.tolist(), final_delta.tolist()):
+        iterations.observe(count)
+        if np.isfinite(delta):
+            deltas.observe(delta)
 
 
 def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
@@ -261,19 +450,21 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                    tol: float = 1e-6) -> BatchedFitResult:
     """Deterministic MAP EM over a batch of cascades, all phases batched.
 
-    Semantically ``[fit_em(ev, max_lag, ...) for ev in events_list]``
-    with one array program instead of ``C`` dispatch loops; see the
-    module docstring for the (tolerance-level) equivalence contract.
-    Each cascade iterates until its own relative log-likelihood delta
-    drops below ``tol`` (then freezes) or ``max_iterations`` is hit.
+    ``result.fit_result(c)`` equals ``fit_em(events_list[c], max_lag,
+    ...)`` bit for bit — background, weights, impulse, log-likelihood
+    and iteration count — with one array program instead of ``C``
+    dispatch loops; see the module docstring for how each step keeps
+    the per-URL order.  Each cascade iterates until its own relative
+    log-likelihood delta drops below ``tol`` (then freezes) or
+    ``max_iterations`` is hit.
 
     Converged cascades first freeze (``np.where`` masking), and once
     half the working set is frozen the batch is *compacted*: frozen
     results are flushed to the output arrays and the survivors are
     repacked into a smaller batch.  Cascades never interact, so
-    compaction is invisible in the results (bit-identical to never
-    compacting); it only stops long-tail cascades from dragging the
-    already-converged majority through extra full-batch sweeps.
+    compaction is invisible in the results; it only stops long-tail
+    cascades from dragging the already-converged majority through
+    extra full-batch sweeps.
     """
     priors = priors or Priors()
     basis = basis or LogBinnedLagBasis(max_lag)
@@ -304,11 +495,17 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     out_buckets = np.empty((n_total, k_procs, k_procs, n_buckets))
     out_ll = np.full(n_total, -np.inf)
     out_iterations = np.zeros(n_total, dtype=np.int64)
+    out_delta = np.full(n_total, np.inf)
 
     active = np.ones(n_casc, dtype=bool)
     previous_ll = np.full(n_casc, -np.inf)
     final_ll = np.full(n_casc, -np.inf)
+    final_delta = np.full(n_casc, np.inf)
     n_iterations = np.zeros(n_casc, dtype=np.int64)
+    # Lag-CDF rows of the current buckets: each sweep's likelihood
+    # computes them for the updated buckets, which the next sweep's
+    # exposure reuses (frozen cascades discard their updates anyway).
+    cdf_rows = None
     attribution_s = updates_s = likelihood_s = 0.0
     iterations_run = 0
     for iteration in range(max_iterations):
@@ -341,7 +538,9 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         new_background = np.maximum(
             (priors.background_shape - 1.0 + z_background)
             / bg_denominator, _EPS)
-        exposure = structure.bucket_exposure(buckets)
+        if cdf_rows is None:
+            cdf_rows = structure.lag_cdf_rows(buckets)
+        exposure = structure.exposure_from_cdf(cdf_rows)
         new_weights = np.maximum(
             (priors.weight_shape - 1.0 + z_weight)
             / (priors.weight_rate + exposure), 0.0)
@@ -352,28 +551,17 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         updates_s += perf_counter() - phase_start
         # -- log-likelihood of the updated parameters ----------------------
         phase_start = perf_counter()
-        vals = structure.candidate_values(new_weights, new_buckets)
-        rates = new_background.reshape(-1)[entry_cell] \
-            + structure.segment_sums(vals)
-        log_terms = np.zeros(n_casc)
-        degenerate = np.zeros(n_casc, dtype=bool)
-        if len(rates):
-            positive = rates > 0
-            terms = (counts * np.log(np.where(positive, rates, 1.0))
-                     - log_factorials)
-            np.add.at(log_terms, cascade_of, terms)
-            if not positive.all():
-                degenerate[cascade_of[~positive]] = True
-        integral = (new_background * packed.n_bins[:, None]).sum(axis=1)
-        if len(structure.v_cascade):
-            cdf_rows = structure.truncation_cdf_rows(new_buckets)
-            weight_rows = new_weights.reshape(-1, k_procs)[
-                structure.v_row]
-            np.add.at(integral, structure.v_cascade,
-                      structure.v_cnt
-                      * (cdf_rows * weight_rows).sum(axis=1))
-        current_ll = log_terms - integral
-        current_ll[degenerate] = -np.inf
+        cdf_rows = structure.lag_cdf_rows(new_buckets)
+        rates = structure.entry_rates(new_background, new_weights,
+                                      new_buckets)
+        positive = rates > 0
+        terms = (counts * np.log(np.where(positive, rates, 1.0))
+                 - log_factorials)
+        current_ll = (np.bincount(cascade_of, weights=terms,
+                                  minlength=n_casc)
+                      - structure.rate_integrals(new_background, new_weights,
+                                                 cdf_rows))
+        current_ll[cascade_of[~positive]] = -np.inf
         likelihood_s += perf_counter() - phase_start
         # -- adopt updates for active cascades; freeze the converged -------
         background = np.where(active[:, None], new_background, background)
@@ -384,11 +572,12 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         n_iterations[active] = iteration + 1
         # previous_ll is -inf until a cascade's first sweep completes;
         # the delta is then NaN/Inf and the comparison is correctly
-        # False, so silence the invalid-value warning NumPy raises for
-        # the array form of the same scalar check fit_em runs.
+        # False, so silence NumPy's invalid-value warning.
         with np.errstate(invalid="ignore"):
-            converged = (np.abs(current_ll - previous_ll)
-                         < tol * (1.0 + np.abs(previous_ll)))
+            delta = np.abs(current_ll - previous_ll)
+            scale_ll = 1.0 + np.abs(previous_ll)
+            converged = delta < tol * scale_ll
+            final_delta = np.where(active, delta / scale_ll, final_delta)
         previous_ll = np.where(active, current_ll, previous_ll)
         active &= ~converged
         # -- compaction: flush the frozen, repack the survivors ------------
@@ -401,6 +590,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
             out_buckets[orig[frozen]] = buckets[frozen]
             out_ll[orig[frozen]] = final_ll[frozen]
             out_iterations[orig[frozen]] = n_iterations[frozen]
+            out_delta[orig[frozen]] = final_delta[frozen]
             keep = np.flatnonzero(active)
             work = [work[i] for i in keep]
             orig = orig[keep]
@@ -409,9 +599,11 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
             buckets = np.ascontiguousarray(buckets[keep])
             previous_ll = previous_ll[keep]
             final_ll = final_ll[keep]
+            final_delta = final_delta[keep]
             n_iterations = n_iterations[keep]
             packed = PackedCascades(work, basis.max_lag)
             structure = BatchedParentStructure(packed, basis)
+            cdf_rows = None
             n_casc = packed.n_cascades
             counts = packed.counts
             entry_cell = structure.entry_cell
@@ -428,6 +620,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     out_buckets[orig] = buckets
     out_ll[orig] = final_ll
     out_iterations[orig] = n_iterations
+    out_delta[orig] = final_delta
 
     _record_batch_metrics("em", n_total, iterations_run,
                           perf_counter() - fit_start, {
@@ -435,6 +628,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                               "updates": updates_s,
                               "likelihood": likelihood_s,
                           })
+    _record_em_convergence(out_iterations, out_delta)
     return BatchedFitResult(
         background=out_background,
         weights=out_weights,

@@ -12,24 +12,27 @@ share these kernels, so no caller pays for a per-event Python loop.
 
 Bit-compatibility contract
 --------------------------
-The EM fitter is required to produce *bit-identical* results to the
-historical per-event loops, so every kernel used on the EM path
-preserves the exact floating-point evaluation and accumulation order of
-those loops: per-candidate products multiply left-to-right as
-``count * weight * pmf``, and scatter-adds use :func:`np.ufunc.at` /
-``np.cumsum``, both of which accumulate sequentially in element order
-(a plain ``sum()`` would re-associate via pairwise summation and drift
-in the last bits).  EM runs on the per-lag kernels
-(:meth:`ParentStructure.all_candidate_values`, :func:`exposure`) over
-the expanded ``(K, K, max_lag)`` PMF.
+EM (:func:`~.batched.fit_em_batched`, and :func:`~.inference.fit_em`,
+its one-cascade call) is required to produce *bit-identical* results to
+the historical per-event loops (the frozen ``naive_fit_em`` in
+``tests/test_hawkes_kernels.py``), so every kernel it uses preserves
+the exact floating-point evaluation and accumulation order of those
+loops: per-candidate products multiply left-to-right as ``count *
+weight * pmf``, and scatter-adds use :func:`np.ufunc.at` /
+``np.bincount`` / ``np.cumsum``, all of which accumulate sequentially
+in element order (a plain ``sum()`` would re-associate via pairwise
+summation and drift in the last bits).  EM never expands the PMF to
+``(K, K, max_lag)``: candidate values gather ``buckets / bucket_size``
+(the very division :meth:`LagBasis.expand` performs per lag), and the
+lag CDF at each entry's truncation point is one sequential pass over
+the lags (:meth:`~.batched.BatchedParentStructure.lag_cdf_rows`), the
+order of the per-lag ``np.cumsum``.
 
-The Gibbs sampler (:func:`~.batched.fit_gibbs_batched`) never expands
-the PMF: its sweeps run in bucket space on the closed forms of
-:class:`BucketKernels`, which it shares with batched EM:
+The Gibbs sampler (:func:`~.batched.fit_gibbs_batched`) runs its sweeps
+in bucket space on the closed forms of :class:`BucketKernels`:
 
-* candidate values gather ``buckets / bucket_size`` — the division
-  :meth:`LagBasis.expand` performs per lag — so they are bit-identical
-  to the per-lag gather;
+* candidate values are the same bucket gathers as EM's, so they are
+  bit-identical to the per-lag gather;
 * the exposure uses the closed-form truncation CDF (cumulated buckets
   below the cap bucket plus the covered fraction of the cap bucket),
   which associates differently from the per-lag cumsum and agrees with
@@ -45,19 +48,15 @@ Caching
 :func:`get_parent_structure` memoizes the :class:`ParentStructure` on
 the (immutable) :class:`~repro.core.events.DiscreteEvents` instance,
 keyed by basis content, and :func:`get_query_structure` does the same
-for the default rate-evaluation grid.  Per-URL EM, the likelihood,
-diagnostics, and — because the live refitter opts into memoized
-cascade binning (:func:`repro.core.influence.cascade_to_events` with
-``memoize=True``) — repeated refits over the same window all reuse one
-build; batched fits build one packed structure per batch instead.  The
-cache dies with the events object (and is dropped from pickles by
-``DiscreteEvents.__getstate__``), so corpora of transient per-URL
-matrices cannot leak or bloat worker payloads.
+for the default rate-evaluation grid, so the likelihood and the
+diagnostics reuse one build per events object; batched fits build one
+packed structure per batch instead.  The cache dies with the events
+object (and is dropped from pickles by ``DiscreteEvents.__getstate__``),
+so corpora of transient per-URL matrices cannot leak or bloat worker
+payloads.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -151,7 +150,8 @@ class BucketKernels:
         valid = capped > 0
         self.v_row = entry_row[valid]
         self.v_cnt = entry_cnt[valid]
-        cap = capped[valid]
+        #: Post-event window of each valid entry, in bins.
+        self.v_cap = cap = capped[valid]
         self.v_bucket = basis.bucket_of[cap - 1]
         lags_below = np.concatenate(
             [[0], np.cumsum(basis.bucket_sizes)])[self.v_bucket]
@@ -181,21 +181,12 @@ class BucketKernels:
                 * (buckets.reshape(-1)[self._bucket_index]
                    / self._flat_bucket_size))
 
-    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
-        """Per-entry candidate-mass totals ``(n_entries,)``."""
-        if not len(flat_vals):
-            return np.zeros(len(self.sizes))
-        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
-                               self.offsets[:-1])
-        sums[self.sizes == 0] = 0.0
-        return sums
-
     def truncation_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
         """Lag-CDF rows ``cdf[row, :, cap - 1]`` per valid entry.
 
         ``(n_valid, K)``: full buckets below the cap bucket plus the
         covered fraction of the cap bucket — the bucket-level closed
-        form of the per-lag cumsum :func:`exposure` takes.
+        form of the per-lag cumsum.
         """
         k, n_buckets = buckets.shape[-2:]
         rows = buckets.reshape(-1, k, n_buckets)
@@ -205,16 +196,22 @@ class BucketKernels:
                 + self.v_frac[:, None] * rows[self.v_row, :, self.v_bucket])
 
     def bucket_exposure(self, buckets: np.ndarray) -> np.ndarray:
-        """Truncated exposure ``E[.., i, j]`` from the bucket PMFs.
+        """Truncated exposure ``E[.., i, j]`` from the bucket PMFs."""
+        return self.exposure_from_cdf(self.truncation_cdf_rows(buckets))
+
+    def exposure_from_cdf(self, cdf_rows: np.ndarray) -> np.ndarray:
+        """Truncated exposure ``E[.., i, j]`` of the ``(.., K, K)``
+        weights, given the lag-CDF row ``(n_valid, K)`` of every valid
+        entry.
 
         One ``np.bincount`` over the raveled cells: it adds each cell's
         terms in entry order starting from zero, the summation order of
         ``np.add.at`` over the rows.
         """
-        shape = buckets.shape[:-1]
+        shape = self._pair_shape
         if not len(self.v_row):
             return np.zeros(shape)
-        terms = self.v_cnt[:, None] * self.truncation_cdf_rows(buckets)
+        terms = self.v_cnt[:, None] * cdf_rows
         return np.bincount(self._v_cell, weights=terms.reshape(-1),
                            minlength=int(np.prod(shape))).reshape(shape)
 
@@ -225,8 +222,7 @@ class ParentStructure(BucketKernels):
     For entry ``m`` (bin ``t``, process ``k``, count ``c``) the
     candidate parents are every earlier entry within ``max_lag`` bins.
     Candidates of all entries are stored concatenated; segment ``m``
-    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.  The per-lag
-    kernels below serve per-URL EM.
+    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.
     """
 
     def __init__(self, events: DiscreteEvents, basis: LagBasis) -> None:
@@ -255,11 +251,6 @@ class ParentStructure(BucketKernels):
             basis, self.dst, events.counts.astype(np.float64),
             np.minimum(remaining, basis.max_lag), (k, k))
 
-    @cached_property
-    def _pmf_index(self) -> np.ndarray:
-        """Gather index into the raveled per-lag ``(K, K, D)`` PMF (EM)."""
-        return self._pair * self.basis.max_lag + self.flat_lag - 1
-
     # -- per-event views (introspection and tests; not on hot paths) ------
 
     def _split(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -283,26 +274,6 @@ class ParentStructure(BucketKernels):
     def cand_bucket(self) -> list[np.ndarray]:
         return self._split(self.flat_bucket)
 
-    # -- per-lag kernels (EM) ----------------------------------------------
-
-    def all_candidate_values(self, weights: np.ndarray,
-                             lag_pmf: np.ndarray) -> np.ndarray:
-        """Unnormalized parent weights for every candidate, flattened,
-        gathered from the expanded per-lag PMF ``(K, K, D)``.
-
-        Products evaluate as ``count * weight * pmf`` left-to-right,
-        matching the reference loop bit for bit.
-        """
-        if not len(self.flat_src):
-            return np.empty(0, dtype=np.float64)
-        return (self.flat_cnt
-                * weights.reshape(-1)[self._pair]
-                * lag_pmf.reshape(-1)[self._pmf_index])
-
-    def exposure(self, lag_cdf: np.ndarray) -> np.ndarray:
-        """Truncated exposure ``E[i, j]`` under the lag CDF ``(K, K, D)``."""
-        return exposure(self.events, lag_cdf, self.basis.max_lag)
-
 
 def get_parent_structure(events: DiscreteEvents,
                          basis: LagBasis) -> ParentStructure:
@@ -314,26 +285,6 @@ def get_parent_structure(events: DiscreteEvents,
         structure = ParentStructure(events, basis)
         cache[key] = structure
     return structure
-
-
-def exposure(events: DiscreteEvents, lag_cdf: np.ndarray,
-             max_lag: int) -> np.ndarray:
-    """Truncated exposure ``E[i, j]``: opportunities for events on ``i``
-    to parent events on ``j`` before the observation window ends.
-    """
-    k_procs = events.n_processes
-    out = np.zeros((k_procs, k_procs))
-    if not len(events):
-        return out
-    remaining = events.n_bins - 1 - events.bins
-    capped = np.minimum(remaining, max_lag)
-    valid = capped > 0
-    if not valid.any():
-        return out
-    src = events.processes[valid].astype(np.int64)
-    rows = events.counts[valid][:, None] * lag_cdf[src, :, capped[valid] - 1]
-    np.add.at(out, src, rows)
-    return out
 
 
 def truncated_kernel_mass(events: DiscreteEvents, weights: np.ndarray,
@@ -375,16 +326,25 @@ class QueryStructure:
                     - ev_bins[flat_idx]).astype(np.int64)
         self.cnt = events.counts[flat_idx].astype(np.float64)
 
-    def add_rates(self, rates: np.ndarray, kernel: np.ndarray) -> None:
-        """Scatter-add each pair's ``count * kernel[src, :, lag - 1]``
-        row onto ``rates[q]``, in (query, event) order.  Chunked so the
+    def add_rates(self, rates: np.ndarray, weights: np.ndarray,
+                  impulse: np.ndarray) -> None:
+        """Scatter-add each pair's ``count * (W[src, :] * impulse[src,
+        :, lag - 1])`` row onto ``rates[q]``, in (query, event) order.
+
+        The product is the branching kernel ``W[:, :, None] * impulse``
+        evaluated at the gathered cells only, so the rows equal gathers
+        from the full ``(K, K, D)`` kernel bit for bit.  Chunked so the
         transient row block stays bounded on dense query grids; chunks
         run in order, preserving the sequential accumulation contract.
         """
         for start in range(0, len(self.src), _SCATTER_CHUNK):
             sl = slice(start, start + _SCATTER_CHUNK)
-            rows = self.cnt[sl, None] * kernel[self.src[sl], :,
-                                               self.lag[sl] - 1]
+            src = self.src[sl]
+            # In place, so at most two (pairs, K) blocks are alive; a
+            # product of two floats does not depend on their order.
+            rows = impulse[src, :, self.lag[sl] - 1]
+            rows *= weights[src, :]
+            np.multiply(self.cnt[sl, None], rows, out=rows)
             np.add.at(rates, self.q_index[sl], rows)
 
 

@@ -108,7 +108,7 @@ def expected_rate(params: HawkesParams, events: DiscreteEvents,
     if structure is None:
         structure = kernels.QueryStructure(events, query_bins,
                                            params.max_lag)
-    structure.add_rates(rates, params.branching_kernel())
+    structure.add_rates(rates, params.weights, params.impulse)
     return rates
 
 

@@ -40,10 +40,9 @@ from .hawkes.batched import (
     fit_gibbs_batched,
     split_by_candidates,
 )
-from .hawkes.inference import Priors, fit_em
+from .hawkes.inference import Priors
 
 FitMethod = Literal["gibbs", "em"]
-Engine = Literal["per-url", "batched"]
 
 #: Cascades packed into one batched fit, at most.  Bounds the flat
 #: candidate arrays (memory scales with total events in the batch, not
@@ -215,25 +214,6 @@ def cascade_to_events(cascade: UrlCascade,
     return builder(cascade, tuple(processes), float(delta_t))
 
 
-def _fit_one_url(cascade: UrlCascade, *, config: HawkesConfig,
-                 processes: tuple[str, ...], basis: LagBasis,
-                 priors: Priors, memoize_events: bool) -> UrlFit:
-    """Per-URL EM fit of one cascade; module-level so it crosses
-    process lines."""
-    events = cascade_to_events(cascade, processes, config.delta_t,
-                               memoize=memoize_events)
-    result = fit_em(events, config.max_lag_bins, basis=basis, priors=priors)
-    return UrlFit(
-        url=cascade.url,
-        category=cascade.category,
-        background=result.params.background,
-        weights=result.params.weights,
-        event_counts=events.events_per_process(),
-        n_bins=events.n_bins,
-        log_likelihood=result.log_likelihood,
-    )
-
-
 def _url_fits(cascades: Sequence[UrlCascade],
               events_list: Sequence[DiscreteEvents],
               batch: BatchedFitResult, keep_samples: bool) -> list[UrlFit]:
@@ -299,41 +279,33 @@ def fit_corpus(cascades: Sequence[UrlCascade],
                chunk_size: int | None = None,
                keep_samples: bool = False,
                memoize_events: bool = False,
-               engine: Engine = "per-url",
                ) -> InfluenceResult:
     """Fit one Hawkes model per URL and collect the results.
 
-    Per-URL fits are independent, so the corpus fans out over
-    ``n_jobs`` worker processes (:func:`repro.parallel.parallel_map`);
-    ``n_jobs=1`` keeps everything in-process and ``-1`` uses every
-    core.  Each URL draws from its own random stream spawned from
-    ``rng`` and keyed by corpus position (task index), which makes the
-    result **bit-for-bit identical for every** ``n_jobs`` **and**
-    ``chunk_size`` — the property the ``tests/test_parallel_*`` suites
-    enforce.  ``rng`` accepts a ``Generator``, ``SeedSequence``,
-    integer seed, or ``None`` (fresh entropy).  ``memoize_events=True``
-    reuses binned event matrices (and their kernel caches) across calls
-    that see the same cascades — the live refitter's sliding window —
-    at the cost of LRU retention; one-shot corpus fits leave it off.
-
-    ``engine`` selects how EM fits execute.  ``"per-url"`` (default,
-    the golden reference) dispatches one fit per cascade.
-    ``"batched"`` packs each chunk of cascades into one flat array
-    program (:func:`~.hawkes.batched.fit_em_batched`) so thousands of
-    small cascades fit as a handful of NumPy calls per EM sweep; it
-    matches the per-URL path to floating point tolerance (each
-    cascade's result is bit-identical for every batch composition, but
-    batched and per-URL reductions associate differently).  Gibbs fits
-    always run batched (:func:`~.hawkes.batched.fit_gibbs_batched`),
-    which is bit-identical to fitting each URL alone, so for Gibbs the
-    engine changes nothing.
+    The corpus is split into contiguous batches of at most
+    :data:`MAX_BATCH_CASCADES` cascades (``chunk_size`` of them when
+    given), and each batch is fitted as one packed array program
+    (:func:`~.hawkes.batched.fit_em_batched` or
+    :func:`~.hawkes.batched.fit_gibbs_batched`) that returns, for
+    every cascade, the bits of fitting that URL alone.  Batches fan out
+    over ``n_jobs`` worker processes
+    (:func:`repro.parallel.parallel_map`); ``n_jobs=1`` keeps
+    everything in-process and ``-1`` uses every core.  Each Gibbs URL
+    draws from its own random stream spawned from ``rng`` and keyed by
+    corpus position (task index), and EM is deterministic, which makes
+    the result **bit-for-bit identical for every** ``n_jobs`` **and**
+    ``chunk_size`` — the property the ``tests/test_parallel_*`` and
+    ``tests/test_batched_*`` suites enforce.  ``rng`` accepts a
+    ``Generator``, ``SeedSequence``, integer seed, or ``None`` (fresh
+    entropy).  ``memoize_events=True`` reuses binned event matrices
+    across calls that see the same cascades — the live refitter's
+    sliding window — at the cost of LRU retention; one-shot corpus fits
+    leave it off.
     """
     config = config or HawkesConfig()
     basis = basis or LogBinnedLagBasis(config.max_lag_bins)
     if method not in ("gibbs", "em"):
         raise ValueError(f"unknown fit method {method!r}")
-    if engine not in ("per-url", "batched"):
-        raise ValueError(f"unknown fit engine {engine!r}")
     priors = Priors(
         background_shape=config.background_shape,
         background_rate=config.background_rate,
@@ -342,40 +314,6 @@ def fit_corpus(cascades: Sequence[UrlCascade],
         impulse_concentration=config.impulse_concentration,
     )
     processes = tuple(processes)
-    if method == "gibbs" or engine == "batched":
-        return _fit_corpus_batched(
-            cascades, method=method, config=config, processes=processes,
-            basis=basis, priors=priors, rng=rng, progress=progress,
-            n_jobs=n_jobs, chunk_size=chunk_size,
-            keep_samples=keep_samples, memoize_events=memoize_events)
-    fit_one = partial(
-        _fit_one_url, config=config, processes=processes, basis=basis,
-        priors=priors, memoize_events=memoize_events)
-    with span("fit_corpus", urls=len(cascades), method=method,
-              engine="per-url", n_jobs=n_jobs):
-        fits = parallel_map(fit_one, cascades, n_jobs=n_jobs,
-                            chunk_size=chunk_size, progress=progress)
-    return InfluenceResult(processes=processes, fits=fits)
-
-
-def _fit_corpus_batched(cascades: Sequence[UrlCascade], *,
-                        method: FitMethod, config: HawkesConfig,
-                        processes: tuple[str, ...], basis: LagBasis,
-                        priors: Priors, rng: SeedLike,
-                        progress: Callable[[int, int], None] | None,
-                        n_jobs: int | None, chunk_size: int | None,
-                        keep_samples: bool,
-                        memoize_events: bool) -> InfluenceResult:
-    """Batched corpus fit: each parallel task is one packed batch.
-
-    The corpus is split into contiguous batches of at most
-    :data:`MAX_BATCH_CASCADES` cascades; ``parallel_map`` then fans the
-    *batches* out over workers, so each worker runs one array program
-    per batch instead of N tiny per-URL fits.  Cascades never interact
-    inside a batch, and each Gibbs cascade draws from the stream of its
-    corpus position, so the per-URL results are bit-identical for every
-    batch size and worker count.
-    """
     n_urls = len(cascades)
     if method == "gibbs":
         seeds: Sequence[np.random.SeedSequence | None] = spawn_task_seeds(
@@ -398,8 +336,7 @@ def _fit_corpus_batched(cascades: Sequence[UrlCascade], *,
     if progress is not None:
         def batch_progress(done: int, total: int) -> None:
             progress(min(done * batch_size, n_urls), n_urls)
-    with span("fit_corpus", urls=n_urls, method=method, engine="batched",
-              n_jobs=n_jobs):
+    with span("fit_corpus", urls=n_urls, method=method, n_jobs=n_jobs):
         nested = parallel_map(fit_batch, batches, n_jobs=n_jobs,
                               chunk_size=1, progress=batch_progress)
     fits = [fit for batch in nested for fit in batch]

@@ -19,7 +19,6 @@ import numpy as np
 from ..config import HawkesConfig
 from ..obs import get_registry, span
 from ..core.influence import (
-    Engine,
     FitMethod,
     InfluenceResult,
     select_urls,
@@ -48,10 +47,6 @@ class RefitPolicy:
     #: Worker processes per refit (see :mod:`repro.parallel`); results
     #: are identical for any value, so this is purely a latency knob.
     n_jobs: int = 1
-    #: EM corpus fit execution strategy; "batched" packs the window into
-    #: one array program per chunk (tolerance-equivalent).  Gibbs always
-    #: runs batched, bit-identical to per-URL fits.
-    engine: Engine = "per-url"
 
 
 @dataclass
@@ -109,17 +104,17 @@ class WindowedHawkesRefitter:
         refit_start = perf_counter()
         rng = np.random.default_rng(self.seed + self.n_refits)
         # Overlapping windows refit the same settled cascades; memoized
-        # event binning lets their kernel structures carry over.  Worker
-        # pools are rebuilt per refit, so the memo only survives (and is
-        # only requested) on the in-process n_jobs=1 path.
+        # event binning lets the binned matrices (and the likelihood
+        # structures cached on them) carry over.  Worker pools are
+        # rebuilt per refit, so the memo only survives (and is only
+        # requested) on the in-process n_jobs=1 path.
         with span("live.refit", records=self.records_at_last_refit,
                   urls=len(corpus)):
             result = fit_corpus(corpus, self.config,
                                 method=self.policy.method,
                                 processes=ecosystem.processes,
                                 rng=rng, n_jobs=self.policy.n_jobs,
-                                memoize_events=self.policy.n_jobs == 1,
-                                engine=self.policy.engine)
+                                memoize_events=self.policy.n_jobs == 1)
         self.last_result = result
         self.n_refits += 1
         registry.histogram(

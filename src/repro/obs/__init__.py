@@ -21,17 +21,16 @@ Metrics catalog, stage by stage
     repro_live_refit_corpus_urls            gauge      URLs in the last refit window
     repro_live_checkpoint_seconds           histogram  checkpoint save wall time
 
-**Hawkes fitters** (:mod:`repro.core.hawkes.inference` and
-:mod:`repro.core.hawkes.batched`; ``method`` is ``em`` for per-URL EM,
-``em-batched`` for batched EM and ``gibbs`` for Gibbs, which always
-runs batched) ::
+**Hawkes fitters** (:mod:`repro.core.hawkes.batched`, which runs
+every EM and Gibbs fit as a batch of one or more cascades; ``method``
+is ``em`` or ``gibbs``) ::
 
     repro_fit_total{method}                 counter    completed fits, one per URL
-    repro_fit_seconds{method}               histogram  one per-URL EM fit, wall time
-    repro_fit_em_iterations                 histogram  EM iterations to convergence
-    repro_fit_em_convergence_delta          histogram  final relative log-likelihood delta
-    repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase and fit
-                                                       or batch (attribution / updates /
+    repro_fit_em_iterations                 histogram  EM iterations to convergence, per URL
+    repro_fit_em_convergence_delta          histogram  final relative log-likelihood delta,
+                                                       per URL
+    repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase and batch
+                                                       (attribution / updates /
                                                        likelihood)
     repro_fit_batch_total{method}           counter    batched fits (method em | gibbs)
     repro_fit_batch_cascades{method}        histogram  cascades packed into one batch

@@ -106,23 +106,6 @@ class TestStageKeys:
         assert (Study(seed=3, n_jobs=1).stage_key("fits")
                 == Study(seed=3, n_jobs=8).stage_key("fits"))
 
-    def test_engine_is_not_part_of_the_key(self):
-        # Like n_jobs, the engine is an execution knob (equivalent to
-        # floating-point tolerance), so it must not split the cache.
-        assert (Study(seed=3, method="em").stage_key("fits")
-                == Study(seed=3, method="em",
-                         engine="batched").stage_key("fits"))
-
-    def test_batched_engine_accepts_gibbs(self):
-        # Gibbs always runs batched, so the engine changes no Gibbs key.
-        study = Study(seed=3, engine="batched")
-        assert study.method == "gibbs"
-        assert study.stage_key("fits") == Study(seed=3).stage_key("fits")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            Study(seed=3, method="em", engine="gpu")
-
     def test_config_changes_invalidate_downstream_only(self):
         base = Study(seed=3)
         refit = Study(seed=3, fit_seed=99)

@@ -1,11 +1,9 @@
-"""Batched-vs-per-URL corpus equivalence (golden + property form).
+"""Corpus EM vs per-URL EM equivalence (golden + property form).
 
-The per-URL EM path is the golden reference: ``engine="batched"`` must
-reproduce it within floating-point tolerance for every batch size and
-worker count (mirroring ``tests/test_parallel_equivalence.py``, which
-pins the per-URL path bit-for-bit across ``n_jobs``).  Between batched
-runs the bar is higher — cascades never interact inside a batch, so
-chunking and fan-out must not change a single bit.
+``fit_corpus(method="em")`` packs the corpus into batched array
+programs; every URL's fit must equal the frozen per-event EM loops
+(``naive_fit_em``) run on that URL alone, bit for bit, for every batch
+size and worker count.
 """
 
 import numpy as np
@@ -14,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
-from repro.core.influence import UrlCascade, fit_corpus
+from repro.core.hawkes.inference import Priors
+from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
 from repro.news.domains import NewsCategory
+
+from test_hawkes_kernels import naive_fit_em
 
 ALT = NewsCategory.ALTERNATIVE
 MAIN = NewsCategory.MAINSTREAM
@@ -39,6 +40,16 @@ def build_corpus(n_urls, events_per_url, spacing=1e6):
     return cascades
 
 
+def dense_cascade(i, n_events=17, spacing=1e6):
+    """A URL whose last entry has ``n_events - 1`` candidate parents:
+    with 16, the pairwise blocks of its candidate-mass sum depend on
+    the reduceat pad, so only a per-cascade pad keeps its bits."""
+    names = ("Twitter", "/pol/", "The_Donald", "politics")
+    events = tuple((i * spacing + 60.0 * j, names[j % len(names)])
+                   for j in range(n_events))
+    return UrlCascade(f"u{i}", ALT if i % 2 else MAIN, events)
+
+
 def build_mixed_corpus(rng, n_urls):
     """Randomized corpora with the shapes the real selection produces:
     mixed cascade sizes, near-empty cascades, single-process URLs."""
@@ -58,97 +69,81 @@ def build_mixed_corpus(rng, n_urls):
     return cascades
 
 
-def assert_results_close(reference, batched):
-    assert reference.processes == batched.processes
-    assert len(reference.fits) == len(batched.fits)
-    for ref, got in zip(reference.fits, batched.fits):
-        assert ref.url == got.url
-        assert ref.category == got.category
-        assert np.array_equal(ref.event_counts, got.event_counts)
-        assert ref.n_bins == got.n_bins
-        np.testing.assert_allclose(got.weights, ref.weights,
-                                   rtol=5e-3, atol=1e-8)
-        np.testing.assert_allclose(got.background, ref.background,
-                                   rtol=5e-3, atol=1e-10)
-        assert got.log_likelihood == pytest.approx(
-            ref.log_likelihood, rel=1e-4)
+def per_url_reference(corpus):
+    """``(background, weights, log_likelihood)`` of each URL fitted
+    alone by the frozen per-event EM loops."""
+    priors = Priors(background_shape=FAST.background_shape,
+                    background_rate=FAST.background_rate,
+                    weight_shape=FAST.weight_shape,
+                    weight_rate=FAST.weight_rate,
+                    impulse_concentration=FAST.impulse_concentration)
+    reference = []
+    for cascade in corpus:
+        params, log_likelihood, _ = naive_fit_em(
+            cascade_to_events(cascade, HAWKES_PROCESSES, FAST.delta_t),
+            FAST.max_lag_bins, priors=priors)
+        reference.append((params.background, params.weights,
+                          log_likelihood))
+    return reference
 
 
-def assert_results_bit_identical(a, b):
-    for fit_a, fit_b in zip(a.fits, b.fits):
-        assert fit_a.url == fit_b.url
-        assert np.array_equal(fit_a.weights, fit_b.weights)
-        assert np.array_equal(fit_a.background, fit_b.background)
-        assert fit_a.log_likelihood == fit_b.log_likelihood
+def assert_matches_reference(corpus, result, reference):
+    assert result.processes == HAWKES_PROCESSES
+    assert len(result.fits) == len(reference)
+    for cascade, fit, (background, weights, log_likelihood) in zip(
+            corpus, result.fits, reference):
+        assert fit.url == cascade.url
+        assert fit.category == cascade.category
+        assert np.array_equal(fit.background, background)
+        assert np.array_equal(fit.weights, weights)
+        assert fit.log_likelihood == log_likelihood
 
 
 class TestGoldenBatchedEquivalence:
-    """Fixed corpus, every batch size and fan-out vs the per-URL path."""
+    """Fixed corpus, every batch size and fan-out vs per-URL EM."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
-        return build_corpus(11, events_per_url=6)
+        corpus = build_corpus(11, events_per_url=6)
+        corpus[5] = dense_cascade(5)
+        return corpus
 
     @pytest.fixture(scope="class")
     def per_url(self, corpus):
-        return fit_corpus(corpus, FAST, method="em")
+        return per_url_reference(corpus)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 11, 64])
     def test_every_batch_size_matches_per_url(self, corpus, per_url,
                                               chunk_size):
-        batched = fit_corpus(corpus, FAST, method="em", engine="batched",
-                             chunk_size=chunk_size)
-        assert_results_close(per_url, batched)
+        assert_matches_reference(corpus, fit_corpus(
+            corpus, FAST, method="em", chunk_size=chunk_size), per_url)
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_parallel_batched_matches_per_url(self, corpus, per_url,
                                               n_jobs):
-        batched = fit_corpus(corpus, FAST, method="em", engine="batched",
-                             n_jobs=n_jobs)
-        assert_results_close(per_url, batched)
+        assert_matches_reference(corpus, fit_corpus(
+            corpus, FAST, method="em", n_jobs=n_jobs), per_url)
 
-    def test_batched_bit_identical_across_chunking(self, corpus):
-        whole = fit_corpus(corpus, FAST, method="em", engine="batched")
-        for chunk_size in (1, 3, 7):
-            split = fit_corpus(corpus, FAST, method="em",
-                               engine="batched", chunk_size=chunk_size)
-            assert_results_bit_identical(whole, split)
+    def test_batched_bit_identical_across_chunking(self, corpus, per_url):
+        for chunk_size in (None, 1, 3, 7):
+            assert_matches_reference(corpus, fit_corpus(
+                corpus, FAST, method="em", chunk_size=chunk_size), per_url)
 
-    def test_batched_bit_identical_across_workers(self, corpus):
-        serial = fit_corpus(corpus, FAST, method="em", engine="batched")
-        fanned = fit_corpus(corpus, FAST, method="em", engine="batched",
-                            n_jobs=2, chunk_size=3)
-        assert_results_bit_identical(serial, fanned)
+    def test_batched_bit_identical_across_workers(self, corpus, per_url):
+        assert_matches_reference(corpus, fit_corpus(
+            corpus, FAST, method="em", n_jobs=2, chunk_size=3), per_url)
 
     def test_progress_reaches_total(self, corpus):
         calls = []
-        fit_corpus(corpus, FAST, method="em", engine="batched",
-                   chunk_size=4,
+        fit_corpus(corpus, FAST, method="em", chunk_size=4,
                    progress=lambda done, total: calls.append((done, total)))
         assert calls[-1] == (len(corpus), len(corpus))
         assert all(total == len(corpus) for _, total in calls)
 
-    def test_per_url_engine_is_default_and_unchanged(self, corpus, per_url):
-        explicit = fit_corpus(corpus, FAST, method="em",
-                              engine="per-url")
-        assert_results_bit_identical(per_url, explicit)
-
 
 class TestEngineValidation:
-    def test_batched_gibbs_matches_per_url_engine(self):
-        corpus = build_corpus(3, 4)
-        per_url = fit_corpus(corpus, FAST, method="gibbs", rng=1)
-        batched = fit_corpus(corpus, FAST, method="gibbs", rng=1,
-                             engine="batched")
-        assert_results_bit_identical(per_url, batched)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            fit_corpus(build_corpus(2, 4), FAST, method="em",
-                       engine="vectorized")
-
     def test_empty_corpus(self):
-        result = fit_corpus([], FAST, method="em", engine="batched")
+        result = fit_corpus([], FAST, method="em")
         assert result.fits == []
 
 
@@ -159,9 +154,8 @@ class TestEngineValidation:
     chunk_size=st.sampled_from([1, 2, 3, 1024]),
 )
 def test_property_batched_equals_per_url(n_urls, seed, chunk_size):
-    """Any corpus shape, any batch size: batched tracks the golden path."""
+    """Any corpus shape, any batch size: every URL fits as if alone."""
     corpus = build_mixed_corpus(np.random.default_rng(seed), n_urls)
-    per_url = fit_corpus(corpus, FAST, method="em")
-    batched = fit_corpus(corpus, FAST, method="em", engine="batched",
-                         chunk_size=chunk_size)
-    assert_results_close(per_url, batched)
+    assert_matches_reference(corpus, fit_corpus(
+        corpus, FAST, method="em", chunk_size=chunk_size),
+        per_url_reference(corpus))

@@ -15,7 +15,6 @@ import pytest
 
 import repro.core.influence as influence
 from gibbs_reference import reference_fit_gibbs
-from repro.cli import main
 from repro.config import HawkesConfig
 from repro.core.events import DiscreteEvents, bin_timestamps
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
@@ -235,20 +234,6 @@ class TestCorpusGibbs:
         spans = [json.loads(line) for line in
                  (tmp_path / "trace.jsonl").read_text().splitlines()]
         (fit_span,) = [s for s in spans if s["name"] == "fit_corpus"]
-        assert fit_span["attrs"]["engine"] == "batched"
         assert fit_span["attrs"]["method"] == "gibbs"
+        assert "engine" not in fit_span["attrs"]
 
-
-def test_cli_report_engines_write_the_same_bytes(tmp_path):
-    """``--engine batched`` fits Gibbs, bit-identical to ``per-url``."""
-    world = ["--seed", "3", "--stories-alt", "50", "--stories-main", "120",
-             "--twitter-users", "80", "--reddit-users", "60",
-             "--max-urls", "6"]
-    texts = []
-    for engine in ("per-url", "batched"):
-        out = tmp_path / f"{engine}.md"
-        assert main(["report", *world, "--engine", engine,
-                     "--out", str(out)]) == 0
-        texts.append(out.read_text())
-    assert "## Influence estimation (Section 5, 6 URLs)" in texts[0]
-    assert texts[0] == texts[1]

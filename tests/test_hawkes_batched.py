@@ -1,17 +1,24 @@
-"""Unit tests for the batched EM engine (packing + fit semantics)."""
+"""Unit tests for batched EM (packing + fit semantics).
+
+Batched EM is the only EM program; every cascade's result must equal
+fitting it alone (``fit_em``, its one-cascade call) bit for bit.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.events import bin_timestamps
-from repro.core.hawkes.basis import LogBinnedLagBasis
+from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
 from repro.core.hawkes.batched import (
     BatchedParentStructure,
     PackedCascades,
     fit_em_batched,
 )
-from repro.core.hawkes.inference import fit_em
+from repro.core.hawkes.inference import FitResult, Priors, fit_em
 from repro.core.hawkes.kernels import segment_ranges
+from repro.obs import MetricsRegistry, set_registry
+
+from test_hawkes_kernels import naive_fit_em
 
 K = 4
 MAX_LAG = 48
@@ -27,12 +34,35 @@ def make_events(rng, n_events, n_procs=K, horizon=4000.0):
 def events_batch():
     rng = np.random.default_rng(42)
     batch = [make_events(rng, int(rng.integers(1, 25))) for _ in range(8)]
+    # A cascade whose last entry has 16 candidate parents, placed where
+    # the half split of the composition test ends a batch.  NumPy sums a
+    # reduceat segment as a[0] + pairwise(a[1:]), in blocks of 8, so a
+    # trailing 0.0 pad regroups a 16-candidate segment: its bits depend
+    # on whether the cascade carries its own pad.
+    batch.insert(4, bin_timestamps(60.0 * np.arange(17), np.arange(17) % K,
+                                   n_processes=K, delta_t=60.0))
     # Degenerate shapes the corpus actually contains: a lone event and
     # a single-process cascade.
     batch.append(bin_timestamps([30.0], [1], n_processes=K, delta_t=60.0))
     batch.append(bin_timestamps([0.0, 120.0, 180.0], [2, 2, 2],
                                 n_processes=K, delta_t=60.0))
     return batch
+
+
+def naive_result(events, **kwargs):
+    """The frozen per-event EM loops' fit of one cascade."""
+    params, log_likelihood, n_iterations = naive_fit_em(
+        events, MAX_LAG, **kwargs)
+    return FitResult(params=params, log_likelihood=log_likelihood,
+                     n_iterations=n_iterations)
+
+
+def assert_fit_equal(got, ref):
+    assert np.array_equal(got.params.background, ref.params.background)
+    assert np.array_equal(got.params.weights, ref.params.weights)
+    assert np.array_equal(got.params.impulse, ref.params.impulse)
+    assert got.log_likelihood == ref.log_likelihood
+    assert got.n_iterations == ref.n_iterations
 
 
 class TestPackedCascades:
@@ -108,41 +138,23 @@ class TestBatchedParentStructure:
 
 class TestFitEmBatched:
     def test_fixed_iterations_near_bit_identical(self, events_batch):
-        # tol=0 removes early stopping, so every cascade runs exactly
-        # max_iterations sweeps in both engines and the only remaining
-        # differences are float association in exposure/likelihood.
+        # tol=0 removes early stopping: every cascade runs exactly
+        # max_iterations sweeps, and each is bit-identical to the frozen
+        # per-event EM loops.
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched(events_batch, MAX_LAG, basis=basis,
                                max_iterations=20, tol=0.0)
         for i, ev in enumerate(events_batch):
-            ref = fit_em(ev, MAX_LAG, basis=basis, max_iterations=20,
-                         tol=0.0)
-            got = batch.fit_result(i)
-            np.testing.assert_allclose(got.params.background,
-                                       ref.params.background,
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got.params.weights,
-                                       ref.params.weights,
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got.params.impulse,
-                                       ref.params.impulse,
-                                       rtol=1e-9, atol=1e-12)
-            assert got.log_likelihood == pytest.approx(
-                ref.log_likelihood, rel=1e-9)
-            assert got.n_iterations == ref.n_iterations == 20
+            assert_fit_equal(batch.fit_result(i), naive_result(
+                ev, basis=basis, max_iterations=20, tol=0.0))
+        assert np.all(batch.n_iterations == 20)
 
     def test_default_tol_matches_per_url(self, events_batch):
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched(events_batch, MAX_LAG, basis=basis)
         for i, ev in enumerate(events_batch):
-            ref = fit_em(ev, MAX_LAG, basis=basis)
-            np.testing.assert_allclose(batch.weights[i], ref.params.weights,
-                                       rtol=5e-3, atol=1e-8)
-            np.testing.assert_allclose(batch.background[i],
-                                       ref.params.background,
-                                       rtol=5e-3, atol=1e-10)
-            assert batch.log_likelihood[i] == pytest.approx(
-                ref.log_likelihood, rel=1e-4)
+            assert_fit_equal(batch.fit_result(i),
+                             fit_em(ev, MAX_LAG, basis=basis))
 
     def test_batch_composition_is_bit_identical(self, events_batch):
         # Cascades never interact inside a batch, so any split of the
@@ -162,17 +174,50 @@ class TestFitEmBatched:
         assert np.array_equal(
             full.n_iterations,
             np.concatenate([first.n_iterations, rest.n_iterations]))
+        assert np.array_equal(full.bucket_pmf, np.concatenate(
+            [first.bucket_pmf, rest.bucket_pmf]))
 
     def test_singleton_batch_matches_fit_em(self):
         ev = bin_timestamps([0.0, 70.0, 200.0, 260.0], [0, 1, 0, 2],
                             n_processes=K, delta_t=60.0)
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched([ev], MAX_LAG, basis=basis)
-        ref = fit_em(ev, MAX_LAG, basis=basis)
-        np.testing.assert_allclose(batch.weights[0], ref.params.weights,
-                                   rtol=1e-7, atol=1e-10)
-        assert batch.log_likelihood[0] == pytest.approx(
-            ref.log_likelihood, rel=1e-7)
+        assert_fit_equal(batch.fit_result(0), naive_result(ev, basis=basis))
+
+    @pytest.mark.parametrize("basis_name", ["log-binned", "dirichlet"])
+    def test_bit_identical_to_naive_em_with_priors(self, events_batch,
+                                                   basis_name):
+        basis = (LogBinnedLagBasis(MAX_LAG, 6) if basis_name == "log-binned"
+                 else DirichletLagBasis(MAX_LAG))
+        priors = Priors(background_rate=50.0, weight_rate=4.0,
+                        impulse_concentration=2.0)
+        batch = fit_em_batched(events_batch, MAX_LAG, basis=basis,
+                               priors=priors, max_iterations=30)
+        for i, ev in enumerate(events_batch):
+            assert_fit_equal(batch.fit_result(i), naive_result(
+                ev, basis=basis, priors=priors, max_iterations=30))
+
+    def test_metrics_observe_each_cascade(self, events_batch):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            batch = fit_em_batched(events_batch, MAX_LAG)
+        finally:
+            set_registry(previous)
+        families = registry.snapshot()["metrics"]
+
+        def samples(name):
+            return families[name]["samples"]
+
+        (total,) = samples("repro_fit_total")
+        assert total["labels"] == {"method": "em"}
+        assert total["value"] == len(events_batch)
+        (iterations,) = samples("repro_fit_em_iterations")
+        assert iterations["count"] == len(events_batch)
+        assert iterations["sum"] == batch.n_iterations.sum()
+        (deltas,) = samples("repro_fit_em_convergence_delta")
+        # A cascade stopped after one sweep has no finite delta.
+        assert deltas["count"] == int((batch.n_iterations > 1).sum())
 
     def test_fit_result_expands_valid_params(self, events_batch):
         batch = fit_em_batched(events_batch, MAX_LAG)

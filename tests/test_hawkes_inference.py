@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
-from repro.core.hawkes.inference import Priors, _ParentStructure, fit_em, fit_gibbs
+from repro.core.hawkes.inference import Priors, fit_em, fit_gibbs
+from repro.core.hawkes.kernels import ParentStructure
 from repro.core.hawkes.model import HawkesParams
 from repro.core.hawkes.simulation import simulate_branching
 
@@ -44,7 +45,7 @@ class TestParentStructure:
     def test_candidates_within_window(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (3, 0), (10, 1), (100, 0)], n_bins=200, n_processes=2)
-        structure = _ParentStructure(events, DirichletLagBasis(20))
+        structure = ParentStructure(events, DirichletLagBasis(20))
         # entry 0 (bin 0) has no candidates
         assert len(structure.cand_src[0]) == 0
         # entry 1 (bin 3) sees only bin 0
@@ -58,19 +59,18 @@ class TestParentStructure:
         events = DiscreteEvents.from_pairs(
             [(95, 0)], n_bins=100, n_processes=1)
         basis = DirichletLagBasis(10)
-        structure = _ParentStructure(events, basis)
+        structure = ParentStructure(events, basis)
         pmf = np.full((1, 1, 10), 0.1)
-        cdf = np.cumsum(pmf, axis=2)
         # only lags 1..4 fit before the window ends
-        assert structure.exposure(cdf)[0, 0] == pytest.approx(0.4)
+        assert structure.bucket_exposure(pmf)[0, 0] == pytest.approx(0.4)
 
     def test_exposure_counts_multiplicity(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (0, 0)], n_bins=100, n_processes=1)
         basis = DirichletLagBasis(10)
-        structure = _ParentStructure(events, basis)
-        cdf = np.cumsum(np.full((1, 1, 10), 0.1), axis=2)
-        assert structure.exposure(cdf)[0, 0] == pytest.approx(2.0)
+        structure = ParentStructure(events, basis)
+        pmf = np.full((1, 1, 10), 0.1)
+        assert structure.bucket_exposure(pmf)[0, 0] == pytest.approx(2.0)
 
 
 class TestGibbs:

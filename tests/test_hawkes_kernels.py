@@ -4,9 +4,11 @@ The naive reference implementations below are straight transcriptions of
 the historical per-event Python loops the vectorized kernels replaced.
 They pin down two contracts:
 
-* **EM is bit-identical**: the vectorized fitter must reproduce the
-  historical EM output exactly (``np.array_equal``, not ``allclose``) —
-  the rewrite is a pure algebraic reorganization.
+* **EM is bit-identical**: the batched EM program (``fit_em`` is its
+  one-cascade call) must reproduce the historical EM output exactly
+  (``np.array_equal``, not ``allclose``) — the rewrite is a pure
+  algebraic reorganization.  ``naive_fit_em`` is the one frozen EM
+  reference.
 * **Gibbs is distributionally equivalent**: the segmented attribution
   sampler draws from the same conditional law as the historical
   per-event ``multinomial`` sampler, so posterior means agree across
@@ -21,6 +23,7 @@ from scipy.special import gammaln
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes import kernels
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
+from repro.core.hawkes.batched import BatchedParentStructure, PackedCascades
 from repro.core.hawkes.inference import (
     Priors,
     _initial_state,
@@ -276,6 +279,15 @@ def naive_fit_gibbs(events, max_lag, basis=None, priors=None,
     return (np.mean(kept_bg, axis=0), np.mean(kept_w, axis=0))
 
 
+def em_exposure(events, basis, buckets):
+    """EM's exposure of one cascade: the exact lag-CDF pass of the
+    batched structure, as ``fit_em`` computes it."""
+    structure = BatchedParentStructure(
+        PackedCascades([events], basis.max_lag), basis)
+    return structure.exposure_from_cdf(
+        structure.lag_cdf_rows(buckets[None]))[0]
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
@@ -323,10 +335,10 @@ class TestParentStructureKernel:
         naive = NaiveParentStructure(events, basis)
         rng = np.random.default_rng(0)
         weights = rng.uniform(0.01, 0.4, (2, 2))
-        lag_pmf = basis.expand(rng.dirichlet(np.ones(basis.n_buckets),
-                                             size=(2, 2)))
-        assert np.array_equal(fast.all_candidate_values(weights, lag_pmf),
-                              naive.all_candidate_values(weights, lag_pmf))
+        buckets = rng.dirichlet(np.ones(basis.n_buckets), size=(2, 2))
+        assert np.array_equal(
+            fast.candidate_values(weights, buckets),
+            naive.all_candidate_values(weights, basis.expand(buckets)))
 
     def test_empty_events(self):
         events = DiscreteEvents.from_pairs([], n_bins=50, n_processes=2)
@@ -334,7 +346,7 @@ class TestParentStructureKernel:
         assert len(structure.flat_src) == 0
         assert structure.offsets.tolist() == [0]
         assert structure.cand_src == []
-        vals = structure.all_candidate_values(
+        vals = structure.candidate_values(
             np.ones((2, 2)), np.full((2, 2, 10), 0.1))
         assert len(vals) == 0
 
@@ -350,7 +362,7 @@ class TestParentStructureKernel:
             [(0, 0), (2, 0), (3, 0)], n_bins=10, n_processes=1)
         structure = kernels.ParentStructure(events, DirichletLagBasis(5))
         assert structure.sizes.tolist() == [0, 1, 2]
-        vals = structure.all_candidate_values(
+        vals = structure.candidate_values(
             np.array([[0.5]]), np.full((1, 1, 5), 0.2))
         assert vals == pytest.approx([0.1, 0.1, 0.1])
 
@@ -358,19 +370,21 @@ class TestParentStructureKernel:
         # Event in the final bin has no post-event window at all.
         events = DiscreteEvents.from_pairs(
             [(99, 0)], n_bins=100, n_processes=1)
-        cdf = np.cumsum(np.full((1, 1, 10), 0.1), axis=2)
-        assert np.array_equal(kernels.exposure(events, cdf, 10),
-                              np.zeros((1, 1)))
+        assert np.array_equal(
+            em_exposure(events, DirichletLagBasis(10),
+                        np.full((1, 1, 10), 0.1)),
+            np.zeros((1, 1)))
 
-    def test_exposure_bit_equal_to_naive(self, medium_case):
-        _, events = medium_case
-        basis = LogBinnedLagBasis(30, 6)
-        naive = NaiveParentStructure(events, basis)
-        rng = np.random.default_rng(1)
-        pmf = rng.dirichlet(np.ones(30), size=(2, 2))
-        cdf = np.cumsum(pmf, axis=2)
-        assert np.array_equal(kernels.exposure(events, cdf, 30),
-                              naive.exposure(cdf))
+    def test_exposure_bit_equal_to_naive(self, window_end_case):
+        events = window_end_case
+        for basis in (LogBinnedLagBasis(30, 6), DirichletLagBasis(30)):
+            naive = NaiveParentStructure(events, basis)
+            for seed in range(3):
+                buckets = np.random.default_rng(seed).dirichlet(
+                    np.ones(basis.n_buckets), size=(2, 2))
+                cdf = np.cumsum(basis.expand(buckets), axis=2)
+                assert np.array_equal(em_exposure(events, basis, buckets),
+                                      naive.exposure(cdf))
 
     def test_zero_count_process_row(self):
         # Process 1 never fires: its exposure row still accumulates from
@@ -380,8 +394,9 @@ class TestParentStructureKernel:
         basis = DirichletLagBasis(10)
         structure = kernels.ParentStructure(events, basis)
         assert not np.any(structure.flat_src == 1)
-        cdf = np.cumsum(np.full((2, 2, 10), 0.1), axis=2)
-        assert np.all(structure.exposure(cdf)[1] == 0)
+        buckets = np.full((2, 2, 10), 0.1)
+        assert np.all(structure.bucket_exposure(buckets)[1] == 0)
+        assert np.all(em_exposure(events, basis, buckets)[1] == 0)
 
 
 class TestModelKernels:
@@ -530,9 +545,10 @@ class TestBucketSpaceKernels:
         basis = BASES[basis_name]
         structure = kernels.ParentStructure(events, basis)
         weights, buckets = random_buckets(basis, 0)
+        naive = NaiveParentStructure(events, basis)
         assert np.array_equal(
             structure.candidate_values(weights, buckets),
-            structure.all_candidate_values(weights, basis.expand(buckets)))
+            naive.all_candidate_values(weights, basis.expand(buckets)))
 
     def test_bincount_tallies_bit_equal_to_add_at(self, medium_case,
                                                   basis_name):
@@ -572,11 +588,11 @@ class TestBucketSpaceKernels:
         remaining = events.n_bins - 1 - events.bins
         assert np.any((remaining > 0) & (remaining < basis.max_lag))
         assert basis_name == "dirichlet" or np.any(structure.v_frac < 1.0)
+        naive = NaiveParentStructure(events, basis)
         for seed in range(5):
             _, buckets = random_buckets(basis, seed)
-            per_lag = kernels.exposure(
-                events, np.cumsum(basis.expand(buckets), axis=2),
-                basis.max_lag)
+            per_lag = naive.exposure(
+                np.cumsum(basis.expand(buckets), axis=2))
             closed = structure.bucket_exposure(buckets)
             assert np.allclose(closed, per_lag, rtol=1e-12, atol=0.0)
 
@@ -649,10 +665,9 @@ class TestGibbsEquivalence:
         basis = LogBinnedLagBasis(30, 6)
         structure = kernels.get_parent_structure(events, basis)
         background = np.full(2, 0.01)
-        lag_pmf = basis.expand(np.full((2, 2, basis.n_buckets),
-                                       1.0 / basis.n_buckets))
-        flat_vals = structure.all_candidate_values(
-            np.full((2, 2), 0.2), lag_pmf)
+        flat_vals = structure.candidate_values(
+            np.full((2, 2), 0.2),
+            np.full((2, 2, basis.n_buckets), 1.0 / basis.n_buckets))
         z_bg, flat_draws = sample_parent_attributions(
             structure, background, flat_vals, np.random.default_rng(0))
         assert z_bg.sum() + flat_draws.sum() == events.total_events
@@ -666,7 +681,7 @@ class TestGibbsEquivalence:
         events = DiscreteEvents.from_pairs(
             [(0, 0), (50, 1)], n_bins=200, n_processes=2)
         structure = kernels.ParentStructure(events, DirichletLagBasis(10))
-        flat_vals = structure.all_candidate_values(
+        flat_vals = structure.candidate_values(
             np.ones((2, 2)), np.full((2, 2, 10), 0.1))
         z_bg, flat_draws = sample_parent_attributions(
             structure, np.array([0.01, 0.01]), flat_vals,
@@ -678,7 +693,7 @@ class TestGibbsEquivalence:
         events = DiscreteEvents.from_pairs(
             [(0, 0), (1, 0)], n_bins=10, n_processes=1)
         structure = kernels.ParentStructure(events, DirichletLagBasis(5))
-        flat_vals = structure.all_candidate_values(
+        flat_vals = structure.candidate_values(
             np.zeros((1, 1)), np.full((1, 1, 5), 0.2))
         z_bg, flat_draws = sample_parent_attributions(
             structure, np.zeros(1), flat_vals, np.random.default_rng(0))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes.basis import DirichletLagBasis
-from repro.core.hawkes.inference import _ParentStructure
+from repro.core.hawkes.kernels import ParentStructure
 from repro.platforms.base import IdAllocator
 from repro.news.domains import NewsCategory
 
@@ -28,7 +28,7 @@ class TestFlattenedParentStructure:
     def structure(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (2, 1), (3, 0), (50, 1)], n_bins=100, n_processes=2)
-        return _ParentStructure(events, DirichletLagBasis(10))
+        return ParentStructure(events, DirichletLagBasis(10))
 
     def test_offsets_partition_candidates(self, structure):
         sizes = [len(s) for s in structure.cand_src]
@@ -46,8 +46,9 @@ class TestFlattenedParentStructure:
         rng = np.random.default_rng(0)
         k = 2
         weights = rng.uniform(0.01, 0.5, (k, k))
+        # One lag per bucket: the bucket PMF is the per-lag PMF.
         lag_pmf = np.tile(rng.dirichlet(np.ones(10)), (k, k, 1))
-        flat = structure.all_candidate_values(weights, lag_pmf)
+        flat = structure.candidate_values(weights, lag_pmf)
         events = structure.events
         for m in range(len(events)):
             dst = int(events.processes[m])
@@ -60,9 +61,9 @@ class TestFlattenedParentStructure:
 
     def test_empty_events(self):
         events = DiscreteEvents.from_pairs([], n_bins=10, n_processes=2)
-        structure = _ParentStructure(events, DirichletLagBasis(5))
+        structure = ParentStructure(events, DirichletLagBasis(5))
         assert len(structure.flat_src) == 0
-        vals = structure.all_candidate_values(
+        vals = structure.candidate_values(
             np.ones((2, 2)), np.full((2, 2, 5), 0.2))
         assert len(vals) == 0
 

@@ -330,34 +330,39 @@ class TestBitIdentity:
         corpus = select_urls(cascades)[:3]
         config = HawkesConfig(gibbs_iterations=8, gibbs_burn_in=2)
 
-        previous = set_registry(NULL_REGISTRY)
-        try:
-            golden = fit_corpus(corpus, config, rng=5)
-        finally:
-            set_registry(previous)
+        for method in ("gibbs", "em"):
+            previous = set_registry(NULL_REGISTRY)
+            try:
+                golden = fit_corpus(corpus, config, method=method, rng=5)
+            finally:
+                set_registry(previous)
 
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        start_trace(tmp_path / "trace.jsonl")
-        try:
-            traced = fit_corpus(corpus, config, rng=5)
-        finally:
-            stop_trace()
-            set_registry(previous)
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            trace = tmp_path / f"trace-{method}.jsonl"
+            start_trace(trace)
+            try:
+                traced = fit_corpus(corpus, config, method=method, rng=5)
+            finally:
+                stop_trace()
+                set_registry(previous)
 
-        # Content-hash equality over the full serialized payload: every
-        # background, weight, and likelihood is bit-for-bit identical.
-        assert payload_key(influence_payload(traced)) == payload_key(
-            influence_payload(golden))
-        for a, b in zip(golden.fits, traced.fits):
-            assert a.log_likelihood == b.log_likelihood
-            assert np.array_equal(a.weights, b.weights)
-        # ... and the instrumented run did record its work.
-        families = registry.snapshot()["metrics"]
-        assert families["repro_fit_total"]["samples"][0]["value"] == 3
-        trace_names = {json.loads(line)["name"] for line in
-                       (tmp_path / "trace.jsonl").read_text().splitlines()}
-        assert "fit_corpus" in trace_names
+            # Content-hash equality over the full serialized payload:
+            # every background, weight, and likelihood is bit-for-bit
+            # identical.
+            assert payload_key(influence_payload(traced)) == payload_key(
+                influence_payload(golden))
+            for a, b in zip(golden.fits, traced.fits):
+                assert a.log_likelihood == b.log_likelihood
+                assert np.array_equal(a.weights, b.weights)
+            # ... and the instrumented run did record its work.
+            families = registry.snapshot()["metrics"]
+            (total,) = families["repro_fit_total"]["samples"]
+            assert total["labels"] == {"method": method}
+            assert total["value"] == 3
+            trace_names = {json.loads(line)["name"] for line in
+                           trace.read_text().splitlines()}
+            assert "fit_corpus" in trace_names
 
 
 # ---------------------------------------------------------------------------
