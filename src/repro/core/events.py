@@ -53,13 +53,6 @@ class DiscreteEvents:
             if self.processes.min() < 0 or self.processes.max() >= self.n_processes:
                 raise ValueError("process index out of range")
 
-    def __getstate__(self) -> dict:
-        # Derived kernel caches (see repro.core.hawkes.kernels) can dwarf
-        # the events themselves; rebuildable, so never serialized.
-        state = self.__dict__.copy()
-        state.pop("_hawkes_kernel_cache", None)
-        return state
-
     def __len__(self) -> int:
         return len(self.bins)
 

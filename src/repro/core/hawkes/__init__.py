@@ -8,14 +8,16 @@ probability mass functions ``G`` over lags ``1..D`` bins.
 
 Submodules
 ----------
-``model``       parameters, rate computation, log-likelihood
+``model``       parameters, rate computation, log-likelihood (the
+                one-cascade call of ``batched``'s likelihood)
 ``basis``       lag-PMF parameterizations (full Dirichlet, log-binned)
 ``kernels``     flat segment-wise array kernels shared by all of the above
 ``simulation``  exact branching sampler and a stepwise cross-check sampler
 ``inference``   priors and the per-URL fitters (Gibbs sampler, EM), each
                 the one-cascade call of ``batched``
-``batched``     EM and Gibbs over packed corpora (one array program per
-                batch, the same bits as fitting each URL alone)
+``batched``     EM, Gibbs and the log-likelihood over packed corpora (one
+                array program per batch, the same bits as fitting each
+                URL alone)
 """
 
 from .basis import DirichletLagBasis, LagBasis, LogBinnedLagBasis
@@ -25,7 +27,6 @@ from .batched import (
     fit_em_batched,
     fit_gibbs_batched,
 )
-from .kernels import ParentStructure, get_parent_structure
 from .model import HawkesParams, discrete_log_likelihood, expected_rate
 from .simulation import simulate_branching, simulate_stepwise
 from .inference import FitResult, fit_em, fit_gibbs
@@ -38,8 +39,6 @@ __all__ = [
     "DirichletLagBasis",
     "LagBasis",
     "LogBinnedLagBasis",
-    "ParentStructure",
-    "get_parent_structure",
     "HawkesParams",
     "discrete_log_likelihood",
     "expected_rate",

@@ -14,11 +14,11 @@ Packing
 -------
 Cascades are laid end to end on one shared global bin axis with a
 ``max_lag`` guard gap between consecutive cascades
-(:class:`PackedCascades`).  The same two-``searchsorted`` candidate
-enumeration as :class:`~.kernels.ParentStructure` then runs once over
-the packed ``bins`` array, and the guard gap guarantees no candidate
-parent ever crosses a cascade boundary: the nearest event of the
-previous cascade is always more than ``max_lag`` bins away.  Per-pair
+(:class:`PackedCascades`).  One two-``searchsorted`` candidate
+enumeration (every earlier entry within ``max_lag`` bins) then runs
+over the packed ``bins`` array, and the guard gap guarantees no
+candidate parent ever crosses a cascade boundary: the nearest event of
+the previous cascade is always more than ``max_lag`` bins away.  Per-pair
 state gains a leading cascade axis — ``background (C, K)``, ``weights
 (C, K, K)``, bucket PMFs ``(C, K, K, B)`` — and all scatters/gathers go
 through precomputed raveled indices that include the cascade.  The
@@ -37,7 +37,8 @@ candidate-mass cumsum and its ``searchsorted``, the posterior means of
 background and weights) or sums in the same sequential order as the
 per-URL sweep (integer attribution tallies, the exposure, the running
 bucket sum).  The frozen per-URL sweep in ``tests/gibbs_reference.py``
-pins this.
+pins this.  The likelihood of the posterior means is the one
+likelihood program below, run once on the sweeps' structure.
 
 *EM.*  Every step reproduces the historical per-event EM loops (the
 frozen ``naive_fit_em`` of ``tests/test_hawkes_kernels.py``) bit for
@@ -48,11 +49,19 @@ segment as ``a[0] + pairwise(a[1:])`` and the pad regroups the last
 entry's pairwise blocks exactly as it does for a lone cascade; the
 scatter-adds are sequential (``np.add.at``/``np.bincount``); the lag
 CDF is one sequential pass over the lags, the order of the per-lag
-``np.cumsum`` (:meth:`BatchedParentStructure.lag_cdf_rows`); and the
-likelihood sums each entry's rate from its background, each cascade's
-log terms in entry order and its rate integral per process from
-``background * n_bins``, as :func:`~.model.discrete_log_likelihood`
-does.  :func:`~.inference.fit_em` is the one-cascade call.
+``np.cumsum`` (:meth:`BatchedParentStructure.lag_cdf_rows`).
+:func:`~.inference.fit_em` is the one-cascade call.
+
+Likelihood
+----------
+:meth:`BatchedParentStructure.log_likelihood` is the only Hawkes
+log-likelihood of the package: EM scores every sweep with it, Gibbs
+scores its posterior means with it once, and
+:func:`~.model.discrete_log_likelihood` is its one-cascade call.  It
+sums each entry's rate from its background, each cascade's log terms in
+entry order and its rate integral per process from ``background *
+n_bins``, the association of the frozen ``naive_log_likelihood`` of
+``tests/test_hawkes_kernels.py``.
 
 EM convergence uses per-cascade freeze masks: the iteration a cascade's
 relative log-likelihood delta drops below ``tol`` its parameters and
@@ -75,7 +84,7 @@ from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
 from .kernels import BucketKernels, segment_ranges
-from .model import HawkesParams, discrete_log_likelihood
+from .model import HawkesParams
 
 #: Parameter floor shared with the per-URL MAP updates.
 _EPS = 1e-12
@@ -137,17 +146,20 @@ class PackedCascades:
 class BatchedParentStructure(BucketKernels):
     """Candidate-parent arrays for every entry of a packed batch.
 
-    The batched analogue of :class:`~.kernels.ParentStructure`: one
-    candidate enumeration over the packed global bins covers every
+    For entry ``m`` (bin ``t``, process ``k``, count ``c``) the
+    candidate parents are every earlier entry of its cascade within
+    ``max_lag`` bins; candidates of all entries are stored concatenated
+    and segment ``m`` occupies ``flat_*[offsets[m]:offsets[m + 1]]``.
+    One candidate enumeration over the packed global bins covers every
     cascade, and the precomputed gather indices target raveled
     ``(C, K, K)`` / ``(C, K, K, B)`` parameter arrays so per-sweep
     work is flat gathers, products, and sequential scatter-adds — for
     the whole batch at once.  The bucket-space kernels (candidate
     values, truncation CDF, exposure) are those of
     :class:`~.kernels.BucketKernels`, shared by batched EM and Gibbs;
-    the EM-only kernels below (candidate masses, exact lag CDF, entry
-    rates, rate integrals) build their layouts on first use, so Gibbs
-    batches never hold them.
+    the kernels below (candidate masses, exact lag CDF, entry rates,
+    rate integrals, log-likelihood) build their layouts on first use,
+    so Gibbs sweeps never hold them.
     """
 
     def __init__(self, packed: PackedCascades, basis: LagBasis) -> None:
@@ -178,7 +190,7 @@ class BatchedParentStructure(BucketKernels):
             (packed.n_cascades, k, k))
         self.v_cascade = self.v_row // k
 
-    # -- EM kernels ----------------------------------------------------------
+    # -- EM and likelihood kernels ------------------------------------------
 
     @cached_property
     def _padded_segments(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -299,7 +311,7 @@ class BatchedParentStructure(BucketKernels):
 
         Each entry sums its background, then each candidate's ``count *
         (W * pmf)`` in order — the terms and the order of
-        :meth:`~.kernels.QueryStructure.add_rates`.
+        :meth:`~.kernels.QueryStructure.add_rates` at the entry's bin.
         """
         terms = self.flat_cnt * (
             weights.reshape(-1)[self._pair]
@@ -323,12 +335,12 @@ class BatchedParentStructure(BucketKernels):
 
     def rate_integrals(self, background: np.ndarray, weights: np.ndarray,
                        cdf_rows: np.ndarray) -> np.ndarray:
-        """``sum_{t,k} lambda[t, k]`` per cascade, ``(C,)``.
+        """``sum_t lambda[t, k]`` per cascade and process, ``(C, K)``.
 
         Per process: ``background * n_bins``, then each valid entry's
-        ``(count * W[src, :]) * cdf`` in entry order (the order of
-        :func:`~.kernels.truncated_kernel_mass`), then the sum over
-        processes.
+        ``(count * W[src, :]) * cdf`` in entry order — its kernel mass
+        truncated at the end of the observation window.  ``cdf_rows``
+        is :meth:`lag_cdf_rows` of the bucket PMFs.
         """
         k = self.packed.n_processes
         init = background * self.packed.n_bins[:, None]
@@ -338,7 +350,39 @@ class BatchedParentStructure(BucketKernels):
             self._integral_cell,
             weights=np.concatenate([init.reshape(-1), rows.reshape(-1)]),
             minlength=init.size)
-        return cells.reshape(init.shape).sum(axis=1)
+        return cells.reshape(init.shape)
+
+    @cached_property
+    def _log_factorials(self) -> np.ndarray:
+        """``log(s!)`` of every entry's count."""
+        return gammaln(self.packed.counts + 1.0)
+
+    def log_likelihood(self, background: np.ndarray, weights: np.ndarray,
+                       buckets: np.ndarray,
+                       cdf_rows: np.ndarray) -> np.ndarray:
+        """Exact Poisson log-likelihood of every cascade, ``(C,)``.
+
+        ``sum_{t,k} [s log(lambda) - lambda - log(s!)]``: the log terms
+        at each cascade's entries (:meth:`entry_rates`), summed in entry
+        order, minus its :meth:`rate_integrals` summed over processes;
+        bins without events contribute only their ``-lambda``, which
+        the integral covers.  A cascade with a non-positive rate at one
+        of its entries scores ``-inf``.  ``cdf_rows`` is
+        :meth:`lag_cdf_rows` of ``buckets``; EM reuses them for the next
+        sweep's exposure.
+        """
+        packed = self.packed
+        rates = self.entry_rates(background, weights, buckets)
+        positive = rates > 0
+        terms = (packed.counts * np.log(np.where(positive, rates, 1.0))
+                 - self._log_factorials)
+        log_likelihood = (
+            np.bincount(packed.cascade_of, weights=terms,
+                        minlength=packed.n_cascades)
+            - self.rate_integrals(background, weights,
+                                  cdf_rows).sum(axis=1))
+        log_likelihood[packed.cascade_of[~positive]] = -np.inf
+        return log_likelihood
 
 
 @dataclass(frozen=True)
@@ -483,9 +527,7 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
 
     counts = packed.counts
     entry_cell = structure.entry_cell
-    cascade_of = packed.cascade_of
     bg_denominator = priors.background_rate + packed.n_bins[:, None]
-    log_factorials = gammaln(counts + 1.0)
 
     # Output arrays at full corpus size; the working set shrinks via
     # compaction and ``orig`` maps working rows back to corpus rows.
@@ -552,16 +594,8 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         # -- log-likelihood of the updated parameters ----------------------
         phase_start = perf_counter()
         cdf_rows = structure.lag_cdf_rows(new_buckets)
-        rates = structure.entry_rates(new_background, new_weights,
-                                      new_buckets)
-        positive = rates > 0
-        terms = (counts * np.log(np.where(positive, rates, 1.0))
-                 - log_factorials)
-        current_ll = (np.bincount(cascade_of, weights=terms,
-                                  minlength=n_casc)
-                      - structure.rate_integrals(new_background, new_weights,
-                                                 cdf_rows))
-        current_ll[cascade_of[~positive]] = -np.inf
+        current_ll = structure.log_likelihood(new_background, new_weights,
+                                              new_buckets, cdf_rows)
         likelihood_s += perf_counter() - phase_start
         # -- adopt updates for active cascades; freeze the converged -------
         background = np.where(active[:, None], new_background, background)
@@ -607,10 +641,8 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
             n_casc = packed.n_cascades
             counts = packed.counts
             entry_cell = structure.entry_cell
-            cascade_of = packed.cascade_of
             bg_denominator = (priors.background_rate
                               + packed.n_bins[:, None])
-            log_factorials = gammaln(counts + 1.0)
             active = np.ones(n_casc, dtype=bool)
 
     # Flush whatever the loop left in the working set (never-compacted
@@ -700,11 +732,12 @@ def fit_gibbs_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     if basis.max_lag != max_lag:
         raise ValueError("basis.max_lag must equal max_lag")
     fit_start = perf_counter()
-    # The packed structure dies with _gibbs_sweeps, before the per-URL
-    # likelihoods build their own query structures.
+    structure = BatchedParentStructure(
+        PackedCascades(events_list, max_lag), basis)
+    # The sweeps' draw buffers die with _gibbs_sweeps, before the
+    # likelihood builds its layouts on the same structure.
     kept_bg, kept_w, bucket_sum, phases = _gibbs_sweeps(
-        PackedCascades(events_list, max_lag), basis, priors, rngs,
-        n_iterations, burn_in)
+        structure, priors, rngs, n_iterations, burn_in)
     n_casc, n_kept, k = kept_bg.shape
     # The running bucket sum is np.mean's own axis-0 order; the background
     # and weight means reduce each cascade's draws exactly as fit_gibbs
@@ -714,14 +747,11 @@ def fit_gibbs_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     phase_start = perf_counter()
     mean_bg = np.empty((n_casc, k))
     mean_w = np.empty((n_casc, k, k))
-    log_likelihood = np.empty(n_casc)
-    for c, events in enumerate(events_list):
+    for c in range(n_casc):
         mean_bg[c] = np.mean(kept_bg[c], axis=0)
         mean_w[c] = np.mean(kept_w[c], axis=0)
-        # The expanded impulse lives for one likelihood only.
-        log_likelihood[c] = discrete_log_likelihood(HawkesParams(
-            background=mean_bg[c], weights=mean_w[c],
-            impulse=basis.expand(mean_buckets[c])), events)
+    log_likelihood = structure.log_likelihood(
+        mean_bg, mean_w, mean_buckets, structure.lag_cdf_rows(mean_buckets))
     phases["likelihood"] = perf_counter() - phase_start
     _record_batch_metrics("gibbs", n_casc, n_iterations,
                           perf_counter() - fit_start, phases)
@@ -733,7 +763,7 @@ def fit_gibbs_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                         else np.empty((n_casc, 0, k, k))))
 
 
-def _gibbs_sweeps(packed: PackedCascades, basis: LagBasis, priors: Priors,
+def _gibbs_sweeps(structure: BatchedParentStructure, priors: Priors,
                   rngs: Sequence[np.random.Generator], n_iterations: int,
                   burn_in: int,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -743,9 +773,9 @@ def _gibbs_sweeps(packed: PackedCascades, basis: LagBasis, priors: Priors,
     K)`` draws, the running sum of the kept bucket PMFs ``(C, K, K,
     B)`` and the phase timings.
     """
-    structure = BatchedParentStructure(packed, basis)
+    packed = structure.packed
     n_casc, k = packed.n_cascades, packed.n_processes
-    kk, n_buckets = k * k, basis.n_buckets
+    kk, n_buckets = k * k, structure.basis.n_buckets
     background, weights, buckets = _initial_state(structure, priors)
 
     # -- packed layout: candidates, cumsum blocks and draws per cascade -----

@@ -31,7 +31,7 @@ from ..events import DiscreteEvents
 from .basis import LagBasis
 from .batched import fit_gibbs_batched
 from .inference import Priors
-from .model import HawkesParams, expected_rate, rate_integral
+from .model import HawkesParams, expected_rate
 from .simulation import simulate_branching
 
 

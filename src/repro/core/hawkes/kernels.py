@@ -1,14 +1,16 @@
 """Flat, segment-wise NumPy kernels for the discrete Hawkes core.
 
 Every hot path of the statistical core — candidate-parent enumeration,
-candidate values, exposure, rate evaluation, and the exact
-log-likelihood — is expressed here as a flat array program over
-*segments*: per-event candidate lists are concatenated into single
-arrays partitioned by an ``offsets`` vector, in the spirit of the
-vectorized conjugate updates of Linderman & Adams.  The fitters in
-:mod:`.inference` and :mod:`.batched`, the likelihood in
-:mod:`.model`, and the residual checks in :mod:`.diagnostics` all
-share these kernels, so no caller pays for a per-event Python loop.
+candidate values, exposure and rate evaluation — is expressed as a flat
+array program over *segments*: per-event candidate lists are
+concatenated into single arrays partitioned by an ``offsets`` vector,
+in the spirit of the vectorized conjugate updates of Linderman & Adams.
+This module holds the shared pieces: :func:`segment_ranges`, the
+bucket-space closed forms of :class:`BucketKernels` (the base of
+:class:`~.batched.BatchedParentStructure`, which the fitters and the
+log-likelihood run on) and the rate-evaluation :class:`QueryStructure`
+of :func:`~.model.expected_rate` and :mod:`.diagnostics`, so no caller
+pays for a per-event Python loop.
 
 Bit-compatibility contract
 --------------------------
@@ -41,19 +43,12 @@ in bucket space on the closed forms of :class:`BucketKernels`:
 The sampler keeps seed-determinism — same seed, same result — but its
 *draw stream* differs from the historical sampler: one bulk uniform
 pass replaces per-event ``multinomial`` calls (the sampled law is
-unchanged; a multinomial is a sum of i.i.d. categorical draws).
+unchanged; a multinomial is a sum of i.i.d. categorical draws).  The
+likelihood of its posterior means uses EM's exact kernels.
 
-Caching
--------
-:func:`get_parent_structure` memoizes the :class:`ParentStructure` on
-the (immutable) :class:`~repro.core.events.DiscreteEvents` instance,
-keyed by basis content, and :func:`get_query_structure` does the same
-for the default rate-evaluation grid, so the likelihood and the
-diagnostics reuse one build per events object; batched fits build one
-packed structure per batch instead.  The cache dies with the events
-object (and is dropped from pickles by ``DiscreteEvents.__getstate__``),
-so corpora of transient per-URL matrices cannot leak or bloat worker
-payloads.
+Nothing is cached on :class:`~repro.core.events.DiscreteEvents`: each
+fit or likelihood builds one packed structure per batch, and the
+layouts derived from it die with it.
 """
 
 from __future__ import annotations
@@ -63,27 +58,9 @@ import numpy as np
 from ..events import DiscreteEvents
 from .basis import LagBasis
 
-#: Attribute under which per-events kernel caches are stored.  The
-#: events dataclass is frozen, so writes go through object.__setattr__;
-#: DiscreteEvents.__getstate__ drops the attribute from pickles.
-_CACHE_ATTR = "_hawkes_kernel_cache"
-
 #: Scatter-adds over (pair, K) row blocks are chunked to bound transient
 #: memory on dense query grids (e.g. diagnostics over every bin).
 _SCATTER_CHUNK = 1 << 18
-
-
-def _events_cache(events: DiscreteEvents) -> dict:
-    cache = getattr(events, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(events, _CACHE_ATTR, cache)
-    return cache
-
-
-def _basis_key(basis: LagBasis) -> tuple:
-    """Content key: two bases with equal mappings share structures."""
-    return (basis.max_lag, basis.bucket_of.tobytes())
 
 
 def segment_ranges(starts: np.ndarray, stops: np.ndarray,
@@ -105,25 +82,12 @@ def segment_ranges(starts: np.ndarray, stops: np.ndarray,
     return flat, sizes, offsets
 
 
-def sequential_row_sum(rows: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Sum ``rows`` onto ``init`` in strict top-to-bottom order.
-
-    Equivalent to ``acc = init.copy(); for row in rows: acc += row`` —
-    the associativity a reference accumulation loop uses — via a
-    column-wise ``cumsum``.
-    """
-    if not len(rows):
-        return init.copy()
-    stacked = np.concatenate([init[None, :], rows], axis=0)
-    return np.cumsum(stacked, axis=0)[-1]
-
-
 class BucketKernels:
     """Bucket-space closed forms over a flat candidate layout.
 
     The one home of the bucket-level kernels shared by batched Gibbs
-    and batched EM (:class:`~.batched.BatchedParentStructure`); the
-    per-URL :class:`ParentStructure` carries them too.  Parameters are
+    and batched EM (:class:`~.batched.BatchedParentStructure`).
+    Parameters are
     addressed through raveled indices, so the same code serves a single
     cascade (``weights (K, K)``, ``buckets (K, K, B)``) and a batch with
     a leading cascade axis (``(C, K, K)``, ``(C, K, K, B)``).  A *row*
@@ -216,100 +180,11 @@ class BucketKernels:
                            minlength=int(np.prod(shape))).reshape(shape)
 
 
-class ParentStructure(BucketKernels):
-    """Flat candidate-parent arrays for each event entry.
-
-    For entry ``m`` (bin ``t``, process ``k``, count ``c``) the
-    candidate parents are every earlier entry within ``max_lag`` bins.
-    Candidates of all entries are stored concatenated; segment ``m``
-    occupies ``flat_*[offsets[m]:offsets[m + 1]]``.
-    """
-
-    def __init__(self, events: DiscreteEvents, basis: LagBasis) -> None:
-        self.events = events
-        self.basis = basis
-        ev_bins = events.bins
-        lo = np.searchsorted(ev_bins, ev_bins - basis.max_lag, side="left")
-        hi = np.searchsorted(ev_bins, ev_bins, side="left")
-        flat_idx, sizes, offsets = segment_ranges(lo, hi)
-        self.sizes = sizes
-        self.offsets = offsets
-        self.flat_src = events.processes[flat_idx].astype(np.int64)
-        self.flat_lag = (np.repeat(ev_bins, sizes)
-                         - ev_bins[flat_idx]).astype(np.int64)
-        self.flat_cnt = events.counts[flat_idx].astype(np.float64)
-        self.flat_bucket = basis.bucket_of[self.flat_lag - 1]
-        self.flat_dst = np.repeat(events.processes.astype(np.int64), sizes)
-        # Precomputed gather index into raveled (K, K) arrays: candidate
-        # values become flat gathers + products.
-        k = events.n_processes
-        self._pair = self.flat_src * k + self.flat_dst
-        self.dst = events.processes.astype(np.int64)
-        # Exposure rows: each entry parents on its own process's row.
-        remaining = events.n_bins - 1 - ev_bins
-        self._init_bucket_space(
-            basis, self.dst, events.counts.astype(np.float64),
-            np.minimum(remaining, basis.max_lag), (k, k))
-
-    # -- per-event views (introspection and tests; not on hot paths) ------
-
-    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
-        if not len(self.events):
-            return []
-        return np.split(flat, self.offsets[1:-1])
-
-    @property
-    def cand_src(self) -> list[np.ndarray]:
-        return self._split(self.flat_src)
-
-    @property
-    def cand_lag(self) -> list[np.ndarray]:
-        return self._split(self.flat_lag)
-
-    @property
-    def cand_cnt(self) -> list[np.ndarray]:
-        return self._split(self.flat_cnt)
-
-    @property
-    def cand_bucket(self) -> list[np.ndarray]:
-        return self._split(self.flat_bucket)
-
-
-def get_parent_structure(events: DiscreteEvents,
-                         basis: LagBasis) -> ParentStructure:
-    """Memoized :class:`ParentStructure` for ``(events, basis)``."""
-    cache = _events_cache(events)
-    key = ("parents", _basis_key(basis))
-    structure = cache.get(key)
-    if structure is None:
-        structure = ParentStructure(events, basis)
-        cache[key] = structure
-    return structure
-
-
-def truncated_kernel_mass(events: DiscreteEvents, weights: np.ndarray,
-                          lag_cdf: np.ndarray, max_lag: int,
-                          init: np.ndarray) -> np.ndarray:
-    """``init + sum_m count_m * W[src_m, :] * cdf[src_m, :, cap_m - 1]``
-    accumulated in event order (the rate-integral kernel).
-    """
-    remaining = events.n_bins - 1 - events.bins
-    capped = np.minimum(remaining, max_lag)
-    valid = capped > 0
-    if not valid.any():
-        return init.copy()
-    src = events.processes[valid].astype(np.int64)
-    rows = (events.counts[valid][:, None]
-            * weights[src, :] * lag_cdf[src, :, capped[valid] - 1])
-    return sequential_row_sum(rows, init)
-
-
 class QueryStructure:
     """Flat ``(query bin, source event)`` pairs within ``max_lag``.
 
-    The rate-evaluation analogue of :class:`ParentStructure`: segment
-    ``q`` lists every event entry strictly before query bin ``q`` and at
-    most ``max_lag`` bins away.
+    Segment ``q`` lists every event entry strictly before query bin
+    ``q`` and at most ``max_lag`` bins away.
     """
 
     def __init__(self, events: DiscreteEvents, query_bins: np.ndarray,
@@ -346,26 +221,3 @@ class QueryStructure:
             rows *= weights[src, :]
             np.multiply(self.cnt[sl, None], rows, out=rows)
             np.add.at(rates, self.q_index[sl], rows)
-
-
-def unique_bins(events: DiscreteEvents) -> np.ndarray:
-    """Memoized ``np.unique(events.bins)``."""
-    cache = _events_cache(events)
-    uniq = cache.get("unique_bins")
-    if uniq is None:
-        uniq = np.unique(events.bins)
-        cache["unique_bins"] = uniq
-    return uniq
-
-
-def get_query_structure(events: DiscreteEvents,
-                        max_lag: int) -> QueryStructure:
-    """Memoized :class:`QueryStructure` over the occupied-bin grid."""
-    cache = _events_cache(events)
-    key = ("query", int(max_lag))
-    structure = cache.get(key)
-    if structure is None:
-        structure = QueryStructure(events, unique_bins(events), max_lag)
-        cache[key] = structure
-    return structure
-

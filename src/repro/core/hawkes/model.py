@@ -9,10 +9,11 @@ where ``s`` is the count matrix, ``W[k', k]`` the expected number of
 child events on ``k`` per event on ``k'``, and ``G[k', k]`` a PMF over
 lags ``1..D`` (Section 5.1).
 
-Rate and likelihood evaluation run on the flat segment kernels of
-:mod:`.kernels`; accumulation preserves the event-order floating-point
-associativity of a reference loop, so values are bit-identical to a
-naive per-event implementation.
+Rate evaluation runs on the flat segment kernels of :mod:`.kernels`,
+and the log-likelihood is the one-cascade call of the batched
+likelihood (:meth:`~.batched.BatchedParentStructure.log_likelihood`);
+both accumulate in the event order of a reference loop, so values are
+bit-identical to a naive per-event implementation.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..events import DiscreteEvents
 from . import kernels
+from .basis import DirichletLagBasis
 
 _PMF_TOL = 1e-6
 
@@ -90,41 +91,17 @@ def expected_rate(params: HawkesParams, events: DiscreteEvents,
 
     Returns an ``(n_query, K)`` array.  ``query_bins`` defaults to the
     occupied bins of ``events`` (deduplicated, sorted).  Computation is
-    sparse in the events, so month-long URL matrices stay cheap; the
-    default-grid gather structure is cached on ``events``.
+    sparse in the events, so month-long URL matrices stay cheap.
     """
     if events.n_processes != params.n_processes:
         raise ValueError("event matrix and params disagree on K")
-    if query_bins is None:
-        structure = kernels.get_query_structure(events, params.max_lag)
-        n_query = structure.n_queries
-    else:
-        query_bins = np.asarray(query_bins, dtype=np.int64)
-        structure = None
-        n_query = len(query_bins)
-    rates = np.tile(params.background, (n_query, 1))
-    if not len(events):
-        return rates
-    if structure is None:
-        structure = kernels.QueryStructure(events, query_bins,
-                                           params.max_lag)
-    structure.add_rates(rates, params.weights, params.impulse)
+    query_bins = (np.unique(events.bins) if query_bins is None
+                  else np.asarray(query_bins, dtype=np.int64))
+    rates = np.tile(params.background, (len(query_bins), 1))
+    if len(events):
+        kernels.QueryStructure(events, query_bins, params.max_lag).add_rates(
+            rates, params.weights, params.impulse)
     return rates
-
-
-def rate_integral(params: HawkesParams, events: DiscreteEvents) -> np.ndarray:
-    """``sum_t lambda[t, k]`` for each process, computed exactly.
-
-    Background contributes ``lambda0 * T``; each event at bin ``t'`` on
-    process ``k'`` contributes ``W[k', k] * cdf_G(min(D, T - 1 - t'))``,
-    i.e. its kernel mass truncated at the end of the observation window.
-    """
-    total = params.background * events.n_bins
-    if not len(events):
-        return total
-    cdf = np.cumsum(params.impulse, axis=2)  # (K, K, D)
-    return kernels.truncated_kernel_mass(events, params.weights, cdf,
-                                         params.max_lag, init=total)
 
 
 def discrete_log_likelihood(params: HawkesParams,
@@ -133,17 +110,20 @@ def discrete_log_likelihood(params: HawkesParams,
 
     ``sum_{t,k} [ s log(lambda) - lambda - log(s!) ]``; bins with zero
     counts contribute only their ``-lambda`` term, captured by the exact
-    rate integral.
+    rate integral.  The one-cascade call of
+    :meth:`~.batched.BatchedParentStructure.log_likelihood`: every lag
+    is its own bucket (:func:`~.basis.DirichletLagBasis`), so the
+    impulse is the bucket PMF, dividing it by bucket sizes of 1 is
+    exact, and the structure's lag-CDF pass is the per-lag cumsum.
     """
-    integral = float(rate_integral(params, events).sum())
-    if not len(events):
-        return -integral
-    rates = expected_rate(params, events)
-    rows = np.searchsorted(kernels.unique_bins(events), events.bins)
-    lams = rates[rows, events.processes]
-    if np.any(lams <= 0):
-        return -np.inf
-    counts = events.counts.astype(np.float64)
-    terms = counts * np.log(lams) - gammaln(counts + 1)
-    log_term = float(np.cumsum(terms)[-1])
-    return log_term - integral
+    # batched imports this module.
+    from .batched import BatchedParentStructure, PackedCascades
+    if events.n_processes != params.n_processes:
+        raise ValueError("event matrix and params disagree on K")
+    structure = BatchedParentStructure(
+        PackedCascades([events], params.max_lag),
+        DirichletLagBasis(params.max_lag))
+    buckets = params.impulse[None]
+    return float(structure.log_likelihood(
+        params.background[None], params.weights[None], buckets,
+        structure.lag_cdf_rows(buckets))[0])

@@ -9,7 +9,7 @@ quantities reported in Table 11 and Figures 10-11.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -183,35 +183,15 @@ def trim_gap_urls(cascades: Sequence[UrlCascade], gaps: Sequence[Interval],
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _build_cascade_events(cascade: UrlCascade, processes: tuple[str, ...],
-                          delta_t: float) -> DiscreteEvents:
+def cascade_to_events(cascade: UrlCascade,
+                      processes: Sequence[str] = HAWKES_PROCESSES,
+                      delta_t: float = 60.0) -> DiscreteEvents:
+    """Bin a cascade into the per-URL count matrix of Section 5.2."""
     index = {name: i for i, name in enumerate(processes)}
     timestamps = [t for t, _ in cascade.events]
     procs = [index[name] for _, name in cascade.events]
     return bin_timestamps(timestamps, procs, n_processes=len(processes),
                           delta_t=delta_t)
-
-
-_cascade_events_memo = lru_cache(maxsize=128)(_build_cascade_events)
-
-
-def cascade_to_events(cascade: UrlCascade,
-                      processes: Sequence[str] = HAWKES_PROCESSES,
-                      delta_t: float = 60.0,
-                      memoize: bool = False) -> DiscreteEvents:
-    """Bin a cascade into the per-URL count matrix of Section 5.2.
-
-    With ``memoize=True`` the result is cached by cascade content
-    (cascades are frozen): a window refit that sees the same URL again
-    gets the same events object back, so the kernel structures cached
-    on it (:mod:`repro.core.hawkes.kernels`) are reused instead of
-    rebuilt.  Retention is bounded by the LRU (128 entries; windows
-    larger than that cycle without reuse).  Batch corpus fits touch
-    each URL once, so they default to the unmemoized path and retain
-    nothing.
-    """
-    builder = _cascade_events_memo if memoize else _build_cascade_events
-    return builder(cascade, tuple(processes), float(delta_t))
 
 
 def _url_fits(cascades: Sequence[UrlCascade],
@@ -238,8 +218,7 @@ def _fit_batch(chunk: Sequence[tuple[UrlCascade,
                                      np.random.SeedSequence | None]], *,
                method: FitMethod, config: HawkesConfig,
                processes: tuple[str, ...], basis: LagBasis,
-               priors: Priors, keep_samples: bool,
-               memoize_events: bool) -> list[UrlFit]:
+               priors: Priors, keep_samples: bool) -> list[UrlFit]:
     """Fit one packed batch of cascades; module-level for pickling.
 
     Gibbs packs contiguous runs of at most
@@ -247,8 +226,7 @@ def _fit_batch(chunk: Sequence[tuple[UrlCascade,
     the generator of its own task seed.
     """
     cascades = [cascade for cascade, _ in chunk]
-    events_list = [cascade_to_events(c, processes, config.delta_t,
-                                     memoize=memoize_events)
+    events_list = [cascade_to_events(c, processes, config.delta_t)
                    for c in cascades]
     if method == "em":
         return _url_fits(cascades, events_list, fit_em_batched(
@@ -278,7 +256,6 @@ def fit_corpus(cascades: Sequence[UrlCascade],
                n_jobs: int | None = 1,
                chunk_size: int | None = None,
                keep_samples: bool = False,
-               memoize_events: bool = False,
                ) -> InfluenceResult:
     """Fit one Hawkes model per URL and collect the results.
 
@@ -297,10 +274,7 @@ def fit_corpus(cascades: Sequence[UrlCascade],
     ``chunk_size`` — the property the ``tests/test_parallel_*`` and
     ``tests/test_batched_*`` suites enforce.  ``rng`` accepts a
     ``Generator``, ``SeedSequence``, integer seed, or ``None`` (fresh
-    entropy).  ``memoize_events=True`` reuses binned event matrices
-    across calls that see the same cascades — the live refitter's
-    sliding window — at the cost of LRU retention; one-shot corpus fits
-    leave it off.
+    entropy).
     """
     config = config or HawkesConfig()
     basis = basis or LogBinnedLagBasis(config.max_lag_bins)
@@ -330,8 +304,7 @@ def fit_corpus(cascades: Sequence[UrlCascade],
                for start, stop in iter_chunks(n_urls, batch_size)]
     fit_batch = partial(
         _fit_batch, method=method, config=config, processes=processes,
-        basis=basis, priors=priors, keep_samples=keep_samples,
-        memoize_events=memoize_events)
+        basis=basis, priors=priors, keep_samples=keep_samples)
     batch_progress = None
     if progress is not None:
         def batch_progress(done: int, total: int) -> None:

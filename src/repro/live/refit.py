@@ -103,18 +103,12 @@ class WindowedHawkesRefitter:
             return None
         refit_start = perf_counter()
         rng = np.random.default_rng(self.seed + self.n_refits)
-        # Overlapping windows refit the same settled cascades; memoized
-        # event binning lets the binned matrices (and the likelihood
-        # structures cached on them) carry over.  Worker pools are
-        # rebuilt per refit, so the memo only survives (and is only
-        # requested) on the in-process n_jobs=1 path.
         with span("live.refit", records=self.records_at_last_refit,
                   urls=len(corpus)):
             result = fit_corpus(corpus, self.config,
                                 method=self.policy.method,
                                 processes=ecosystem.processes,
-                                rng=rng, n_jobs=self.policy.n_jobs,
-                                memoize_events=self.policy.n_jobs == 1)
+                                rng=rng, n_jobs=self.policy.n_jobs)
         self.last_result = result
         self.n_refits += 1
         registry.histogram(

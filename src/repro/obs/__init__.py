@@ -106,7 +106,6 @@ from .metrics import (
     NullRegistry,
     collecting,
     get_registry,
-    log_bucket_edges,
     merge_snapshots,
     publish_snapshot,
     set_registry,
@@ -140,7 +139,6 @@ __all__ = [
     "TraceSink",
     "collecting",
     "get_registry",
-    "log_bucket_edges",
     "merge_snapshots",
     "publish_snapshot",
     "render_prometheus",

@@ -65,16 +65,6 @@ DEFAULT_COUNT_BUCKETS = _decade_edges(0, 3)
 DEFAULT_DELTA_BUCKETS = _decade_edges(-12, 0, mantissas=(1.0,))
 
 
-def log_bucket_edges(lo: float, hi: float,
-                     per_decade: int = 3) -> tuple[float, ...]:
-    """Uniform-in-log bucket edges from ``lo`` to at least ``hi``."""
-    import math
-    if lo <= 0 or hi <= lo or per_decade < 1:
-        raise ValueError("need 0 < lo < hi and per_decade >= 1")
-    n = math.ceil(round(math.log10(hi / lo) * per_decade, 9))
-    return tuple(lo * 10.0 ** (i / per_decade) for i in range(n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Instruments
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 All timestamps in the library are POSIX epoch seconds stored as plain
 ``int``/``float``.  The study window and crawler gap windows from the
 paper are expressed as half-open intervals ``[start, end)`` of epoch
-seconds; this module provides the conversions and interval arithmetic
-used everywhere else.
+seconds; this module provides the conversions and the interval
+membership tests used everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 SECONDS_PER_MINUTE = 60
 SECONDS_PER_HOUR = 3600
@@ -28,16 +28,6 @@ def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0,
 def to_datetime(epoch: float) -> datetime:
     """Convert an epoch second to an aware UTC :class:`datetime`."""
     return datetime.fromtimestamp(epoch, tz=timezone.utc)
-
-
-def day_index(epoch: float, origin: float) -> int:
-    """Return the zero-based day bucket of ``epoch`` relative to ``origin``."""
-    return int((epoch - origin) // SECONDS_PER_DAY)
-
-
-def minute_index(epoch: float, origin: float) -> int:
-    """Return the zero-based minute bucket of ``epoch`` relative to ``origin``."""
-    return int((epoch - origin) // SECONDS_PER_MINUTE)
 
 
 @dataclass(frozen=True)
@@ -58,47 +48,7 @@ class Interval:
     def contains(self, epoch: float) -> bool:
         return self.start <= epoch < self.end
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if start >= end:
-            return None
-        return Interval(start, end)
-
-    def iter_days(self) -> Iterator[int]:
-        """Yield the epoch second at midnight UTC of each day touched."""
-        day = self.start - (self.start % SECONDS_PER_DAY)
-        while day < self.end:
-            yield day
-            day += SECONDS_PER_DAY
-
 
 def in_any_interval(epoch: float, intervals: Sequence[Interval]) -> bool:
     """True if ``epoch`` falls inside any of ``intervals``."""
     return any(iv.contains(epoch) for iv in intervals)
-
-
-def total_overlap(interval: Interval, others: Iterable[Interval]) -> int:
-    """Total seconds of ``interval`` covered by ``others`` (assumed disjoint)."""
-    covered = 0
-    for other in others:
-        cut = interval.intersect(other)
-        if cut is not None:
-            covered += cut.duration
-    return covered
-
-
-def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    """Merge overlapping/adjacent intervals into a minimal disjoint list."""
-    ordered = sorted(intervals, key=lambda iv: iv.start)
-    merged: list[Interval] = []
-    for iv in ordered:
-        if merged and iv.start <= merged[-1].end:
-            last = merged[-1]
-            merged[-1] = Interval(last.start, max(last.end, iv.end))
-        else:
-            merged.append(iv)
-    return merged

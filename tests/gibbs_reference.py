@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.core.hawkes.basis import LogBinnedLagBasis
 from repro.core.hawkes.inference import FitResult, Priors, _initial_state
-from repro.core.hawkes.kernels import ParentStructure, get_parent_structure
 from repro.core.hawkes.model import HawkesParams, discrete_log_likelihood
+
+from parent_reference import ParentStructure
 
 
 def sample_parent_attributions(structure: ParentStructure,
@@ -107,7 +108,7 @@ def reference_fit_gibbs(events, max_lag, basis=None, priors=None,
     priors = priors or Priors()
     basis = basis or LogBinnedLagBasis(max_lag)
     k_procs = events.n_processes
-    structure = get_parent_structure(events, basis)
+    structure = ParentStructure(events, basis)
     background, weights, buckets = _initial_state(events, basis, priors)
 
     kept_bg, kept_w, kept_buckets = [], [], []

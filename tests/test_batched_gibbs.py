@@ -142,7 +142,7 @@ class TestCandidateBudget:
         assert split_by_candidates(np.array([], dtype=np.int64), 10) == []
 
     def test_candidate_counts_match_structure(self, events_batch):
-        from repro.core.hawkes.kernels import ParentStructure
+        from parent_reference import ParentStructure
         counts = candidate_counts(events_batch, MAX_LAG)
         assert counts.tolist() == [
             len(ParentStructure(ev, BASIS).flat_src) for ev in events_batch]

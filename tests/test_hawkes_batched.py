@@ -117,7 +117,7 @@ class TestBatchedParentStructure:
         assert np.all(structure.flat_lag <= MAX_LAG)
 
     def test_matches_per_cascade_structure(self, events_batch):
-        from repro.core.hawkes.kernels import ParentStructure
+        from parent_reference import ParentStructure
         packed = PackedCascades(events_batch, MAX_LAG)
         basis = LogBinnedLagBasis(MAX_LAG)
         batched = BatchedParentStructure(packed, basis)

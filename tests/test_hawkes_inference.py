@@ -6,9 +6,10 @@ import pytest
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
 from repro.core.hawkes.inference import Priors, fit_em, fit_gibbs
-from repro.core.hawkes.kernels import ParentStructure
 from repro.core.hawkes.model import HawkesParams
 from repro.core.hawkes.simulation import simulate_branching
+
+from parent_reference import ParentStructure
 
 
 def make_true_params(k=2, max_lag=20, seed=0):

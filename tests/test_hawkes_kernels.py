@@ -34,11 +34,11 @@ from repro.core.hawkes.model import (
     HawkesParams,
     discrete_log_likelihood,
     expected_rate,
-    rate_integral,
 )
 from repro.core.hawkes.simulation import simulate_branching
 
 from gibbs_reference import sample_parent_attributions
+from parent_reference import ParentStructure
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +279,26 @@ def naive_fit_gibbs(events, max_lag, basis=None, priors=None,
     return (np.mean(kept_bg, axis=0), np.mean(kept_w, axis=0))
 
 
+def single_structure(events, basis):
+    """A batch of one: the packed structure fits and likelihoods run on."""
+    return BatchedParentStructure(
+        PackedCascades([events], basis.max_lag), basis)
+
+
+def batched_rate_integral(params, events):
+    """Per-process rate integral of one cascade from the likelihood's
+    kernels, with every lag its own bucket (as ``discrete_log_likelihood``
+    evaluates it)."""
+    structure = single_structure(events, DirichletLagBasis(params.max_lag))
+    return structure.rate_integrals(
+        params.background[None], params.weights[None],
+        structure.lag_cdf_rows(params.impulse[None]))[0]
+
+
 def em_exposure(events, basis, buckets):
     """EM's exposure of one cascade: the exact lag-CDF pass of the
     batched structure, as ``fit_em`` computes it."""
-    structure = BatchedParentStructure(
-        PackedCascades([events], basis.max_lag), basis)
+    structure = single_structure(events, basis)
     return structure.exposure_from_cdf(
         structure.lag_cdf_rows(buckets[None]))[0]
 
@@ -319,7 +334,7 @@ class TestParentStructureKernel:
     def test_matches_naive_arrays(self, medium_case):
         _, events = medium_case
         basis = LogBinnedLagBasis(30, 6)
-        fast = kernels.ParentStructure(events, basis)
+        fast = ParentStructure(events, basis)
         naive = NaiveParentStructure(events, basis)
         assert np.array_equal(fast.offsets, naive.offsets)
         assert np.array_equal(fast.flat_src, naive.flat_src)
@@ -331,7 +346,7 @@ class TestParentStructureKernel:
     def test_candidate_values_bit_equal(self, medium_case):
         _, events = medium_case
         basis = LogBinnedLagBasis(30, 6)
-        fast = kernels.ParentStructure(events, basis)
+        fast = ParentStructure(events, basis)
         naive = NaiveParentStructure(events, basis)
         rng = np.random.default_rng(0)
         weights = rng.uniform(0.01, 0.4, (2, 2))
@@ -342,7 +357,7 @@ class TestParentStructureKernel:
 
     def test_empty_events(self):
         events = DiscreteEvents.from_pairs([], n_bins=50, n_processes=2)
-        structure = kernels.ParentStructure(events, DirichletLagBasis(10))
+        structure = ParentStructure(events, DirichletLagBasis(10))
         assert len(structure.flat_src) == 0
         assert structure.offsets.tolist() == [0]
         assert structure.cand_src == []
@@ -353,14 +368,14 @@ class TestParentStructureKernel:
     def test_all_candidates_beyond_max_lag(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (50, 1), (100, 0)], n_bins=200, n_processes=2)
-        structure = kernels.ParentStructure(events, DirichletLagBasis(10))
+        structure = ParentStructure(events, DirichletLagBasis(10))
         assert structure.sizes.tolist() == [0, 0, 0]
         assert len(structure.flat_src) == 0
 
     def test_single_process(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (2, 0), (3, 0)], n_bins=10, n_processes=1)
-        structure = kernels.ParentStructure(events, DirichletLagBasis(5))
+        structure = ParentStructure(events, DirichletLagBasis(5))
         assert structure.sizes.tolist() == [0, 1, 2]
         vals = structure.candidate_values(
             np.array([[0.5]]), np.full((1, 1, 5), 0.2))
@@ -392,7 +407,7 @@ class TestParentStructureKernel:
         events = DiscreteEvents.from_pairs(
             [(0, 0), (3, 0)], n_bins=100, n_processes=2)
         basis = DirichletLagBasis(10)
-        structure = kernels.ParentStructure(events, basis)
+        structure = ParentStructure(events, basis)
         assert not np.any(structure.flat_src == 1)
         buckets = np.full((2, 2, 10), 0.1)
         assert np.all(structure.bucket_exposure(buckets)[1] == 0)
@@ -414,11 +429,25 @@ class TestModelKernels:
 
     def test_rate_integral_bit_equal(self, medium_case):
         params, events = medium_case
-        assert np.array_equal(rate_integral(params, events),
+        assert np.array_equal(batched_rate_integral(params, events),
                               naive_rate_integral(params, events))
 
     def test_log_likelihood_bit_equal(self, medium_case):
         params, events = medium_case
+        assert (discrete_log_likelihood(params, events)
+                == naive_log_likelihood(params, events))
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_log_likelihood_bit_equal_across_k(self, k):
+        # K = 1 sums one rate-integral cell; K = 8 (the paper's process
+        # set) sums the per-process integrals in NumPy's pairwise order.
+        rng = np.random.default_rng(k)
+        pmf = rng.dirichlet(np.ones(30), size=(k, k))
+        params = HawkesParams(background=rng.uniform(0.002, 0.01, k),
+                              weights=rng.uniform(0.0, 0.6 / k, (k, k)),
+                              impulse=pmf)
+        events = simulate_branching(params, 3000, np.random.default_rng(7))
+        assert len(events) > 20
         assert (discrete_log_likelihood(params, events)
                 == naive_log_likelihood(params, events))
 
@@ -451,22 +480,11 @@ class TestKernelCaching:
         assert len(pickle.dumps(events)) == cold
         clone = pickle.loads(pickle.dumps(events))
         assert np.array_equal(clone.bins, events.bins)
-        # The clone is fully functional (cache rebuilds on demand).
-        fit_em(clone, 10, basis=LogBinnedLagBasis(10, 4),
-               max_iterations=2)
-
-    def test_cascade_to_events_memoized_by_content(self):
-        from repro.core.influence import UrlCascade, cascade_to_events
-        from repro.news.domains import NewsCategory
-
-        def build():
-            return UrlCascade("u", NewsCategory.ALTERNATIVE,
-                              ((0.0, "Twitter"), (90.0, "/pol/")))
-
-        first = cascade_to_events(build(), memoize=True)
-        assert cascade_to_events(build(), memoize=True) is first
-        # The batch path stays memo-free: fresh object every call.
-        assert cascade_to_events(build()) is not cascade_to_events(build())
+        # The clone fits to the same bits as the original.
+        assert (fit_em(clone, 10, basis=LogBinnedLagBasis(10, 4),
+                       max_iterations=2).log_likelihood
+                == fit_em(events, 10, basis=LogBinnedLagBasis(10, 4),
+                          max_iterations=2).log_likelihood)
 
     def test_add_rates_chunking_preserves_bit_identity(
             self, medium_case, monkeypatch):
@@ -476,38 +494,6 @@ class TestKernelCaching:
         assert np.array_equal(
             expected_rate(params, events, query_bins=query),
             naive_expected_rate(params, events, query_bins=query))
-
-
-    def test_parent_structure_cached_per_basis_content(self):
-        events = DiscreteEvents.from_pairs(
-            [(0, 0), (5, 1)], n_bins=50, n_processes=2)
-        b1 = LogBinnedLagBasis(20, 4)
-        first = kernels.get_parent_structure(events, b1)
-        assert kernels.get_parent_structure(events, b1) is first
-        # Equal-content basis object hits the same cache entry.
-        assert kernels.get_parent_structure(
-            events, LogBinnedLagBasis(20, 4)) is first
-        # Different content misses.
-        other = kernels.get_parent_structure(events, DirichletLagBasis(20))
-        assert other is not first
-
-    def test_query_structure_and_unique_bins_cached(self):
-        events = DiscreteEvents.from_pairs(
-            [(0, 0), (5, 1), (5, 0)], n_bins=50, n_processes=2)
-        assert kernels.unique_bins(events) is kernels.unique_bins(events)
-        first = kernels.get_query_structure(events, 10)
-        assert kernels.get_query_structure(events, 10) is first
-        assert kernels.get_query_structure(events, 20) is not first
-
-    def test_fitters_share_cached_structure(self):
-        params = make_params(max_lag=10)
-        events = simulate_branching(params, 500, np.random.default_rng(0))
-        basis = LogBinnedLagBasis(10, 4)
-        fit_em(events, 10, basis=basis, max_iterations=3)
-        cached = kernels.get_parent_structure(events, basis)
-        fit_gibbs(events, 10, basis=basis, n_iterations=6, burn_in=2,
-                  rng=np.random.default_rng(0))
-        assert kernels.get_parent_structure(events, basis) is cached
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +529,7 @@ class TestBucketSpaceKernels:
                                                    basis_name):
         _, events = medium_case
         basis = BASES[basis_name]
-        structure = kernels.ParentStructure(events, basis)
+        structure = ParentStructure(events, basis)
         weights, buckets = random_buckets(basis, 0)
         naive = NaiveParentStructure(events, basis)
         assert np.array_equal(
@@ -556,7 +542,7 @@ class TestBucketSpaceKernels:
         # cells; it must equal the add.at tally of per-candidate counts.
         _, events = medium_case
         basis = BASES[basis_name]
-        structure = kernels.ParentStructure(events, basis)
+        structure = ParentStructure(events, basis)
         weights, buckets = random_buckets(basis, 1)
         _, flat_draws = sample_parent_attributions(
             structure, np.full(2, 0.01),
@@ -582,7 +568,7 @@ class TestBucketSpaceKernels:
                                                   basis_name):
         events = window_end_case
         basis = BASES[basis_name]
-        structure = kernels.ParentStructure(events, basis)
+        structure = ParentStructure(events, basis)
         # Entries within max_lag of the window end; under the log-binned
         # basis some of them cover only part of their cap bucket.
         remaining = events.n_bins - 1 - events.bins
@@ -663,7 +649,7 @@ class TestGibbsEquivalence:
     def test_attribution_counts_conserved(self, medium_case):
         _, events = medium_case
         basis = LogBinnedLagBasis(30, 6)
-        structure = kernels.get_parent_structure(events, basis)
+        structure = ParentStructure(events, basis)
         background = np.full(2, 0.01)
         flat_vals = structure.candidate_values(
             np.full((2, 2), 0.2),
@@ -680,7 +666,7 @@ class TestGibbsEquivalence:
     def test_no_parents_all_background(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (50, 1)], n_bins=200, n_processes=2)
-        structure = kernels.ParentStructure(events, DirichletLagBasis(10))
+        structure = ParentStructure(events, DirichletLagBasis(10))
         flat_vals = structure.candidate_values(
             np.ones((2, 2)), np.full((2, 2, 10), 0.1))
         z_bg, flat_draws = sample_parent_attributions(
@@ -692,7 +678,7 @@ class TestGibbsEquivalence:
     def test_zero_total_mass_falls_back_to_background(self):
         events = DiscreteEvents.from_pairs(
             [(0, 0), (1, 0)], n_bins=10, n_processes=1)
-        structure = kernels.ParentStructure(events, DirichletLagBasis(5))
+        structure = ParentStructure(events, DirichletLagBasis(5))
         flat_vals = structure.candidate_values(
             np.zeros((1, 1)), np.full((1, 1, 5), 0.2))
         z_bg, flat_draws = sample_parent_attributions(
@@ -736,14 +722,3 @@ class TestSegmentHelpers:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert len(flat) == 0
         assert offsets.tolist() == [0]
-
-    def test_sequential_row_sum_matches_loop(self):
-        rng = np.random.default_rng(0)
-        rows = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(
-            -8, 8, size=(40, 1))
-        init = rng.normal(size=3)
-        acc = init.copy()
-        for row in rows:
-            acc += row
-        assert np.array_equal(
-            kernels.sequential_row_sum(rows, init), acc)

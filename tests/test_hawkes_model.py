@@ -8,8 +8,9 @@ from repro.core.hawkes.model import (
     HawkesParams,
     discrete_log_likelihood,
     expected_rate,
-    rate_integral,
 )
+
+from test_hawkes_kernels import batched_rate_integral
 
 
 def uniform_impulse(k, max_lag):
@@ -130,13 +131,13 @@ class TestRateIntegral:
     def test_background_contribution(self):
         params = make_params(background=[0.02, 0.03], weights=np.zeros((2, 2)))
         events = events_from([], n_bins=100)
-        integral = rate_integral(params, events)
+        integral = batched_rate_integral(params, events)
         assert np.allclose(integral, [2.0, 3.0])
 
     def test_full_kernel_mass_when_far_from_end(self):
         params = make_params(k=1, background=[0.0], weights=[[0.7]])
         events = events_from([(0, 0)], n_bins=50, k=1)
-        integral = rate_integral(params, events)
+        integral = batched_rate_integral(params, events)
         assert integral[0] == pytest.approx(0.7)
 
     def test_truncated_kernel_near_end(self):
@@ -144,13 +145,14 @@ class TestRateIntegral:
                              weights=[[1.0]])
         # event 2 bins before the end: only lags 1..2 fit -> 0.4 mass
         events = events_from([(47, 0)], n_bins=50, k=1)
-        integral = rate_integral(params, events)
+        integral = batched_rate_integral(params, events)
         assert integral[0] == pytest.approx(0.4)
 
     def test_event_in_last_bin_contributes_nothing(self):
         params = make_params(k=1, background=[0.0], weights=[[1.0]])
         events = events_from([(49, 0)], n_bins=50, k=1)
-        assert rate_integral(params, events)[0] == pytest.approx(0.0)
+        assert (batched_rate_integral(params, events)[0]
+                == pytest.approx(0.0))
 
     def test_integral_equals_summed_rates(self, rng):
         k, max_lag, n_bins = 2, 6, 40
@@ -163,7 +165,8 @@ class TestRateIntegral:
                  for _ in range(15)]
         events = DiscreteEvents.from_pairs(pairs, n_bins, k)
         rates = expected_rate(params, events, query_bins=np.arange(n_bins))
-        assert np.allclose(rate_integral(params, events), rates.sum(axis=0))
+        assert np.allclose(batched_rate_integral(params, events),
+                           rates.sum(axis=0))
 
 
 class TestLogLikelihood:
@@ -171,6 +174,11 @@ class TestLogLikelihood:
         params = make_params(background=[0.02, 0.03], weights=np.zeros((2, 2)))
         events = events_from([], n_bins=100)
         assert discrete_log_likelihood(params, events) == pytest.approx(-5.0)
+
+    def test_process_count_mismatch_rejected(self):
+        events = events_from([(5, 0), (7, 1)], k=2)
+        with pytest.raises(ValueError, match="disagree on K"):
+            discrete_log_likelihood(make_params(k=1), events)
 
     def test_zero_rate_at_event_is_minus_inf(self):
         params = make_params(k=1, background=[0.0],

@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes.basis import DirichletLagBasis
-from repro.core.hawkes.kernels import ParentStructure
 from repro.platforms.base import IdAllocator
 from repro.news.domains import NewsCategory
+
+from parent_reference import ParentStructure
 
 
 class TestIdAllocator:

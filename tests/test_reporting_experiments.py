@@ -1,9 +1,5 @@
 """Tests for the EXPERIMENTS.md generator."""
 
-from pathlib import Path
-
-import pytest
-
 from repro.claims import EXPERIMENTS
 from repro.reporting.experiments import (
     generate_markdown,
@@ -51,15 +47,19 @@ class TestGenerateMarkdown:
         assert path == out
         assert out.read_text().startswith("# EXPERIMENTS")
 
-    def test_uses_real_results_when_present(self):
-        results = Path("results")
-        # The dir may hold benchmark-only artifacts (BENCH_*.json,
-        # throughput tables); only the registered experiment artifacts
-        # feed generate_markdown, so gate the check on those.
-        generated = sum((results / e.artifact).exists()
-                        for e in EXPERIMENTS)
-        if generated < 2:
-            pytest.skip("results/ experiment artifacts not generated")
-        text = generate_markdown(results)
-        # each present artifact should be embedded as a fenced block
-        assert text.count("```") >= 2 * generated
+    def test_uses_real_results_when_present(self, tmp_path):
+        # Two registered experiment artifacts plus a bench-only file,
+        # which generate_markdown must ignore.
+        present = EXPERIMENTS[:2]
+        assert present[0].artifact != present[1].artifact
+        for i, experiment in enumerate(present):
+            (tmp_path / experiment.artifact).write_text(f"MEASURED {i}\n")
+        (tmp_path / "BENCH_fits.json").write_text("{}")
+        text = generate_markdown(tmp_path)
+        for i, experiment in enumerate(present):
+            assert f"(`results/{experiment.artifact}`):" in text
+            assert f"```\nMEASURED {i}\n```" in text
+        assert "BENCH_fits.json" not in text
+        missing = sum(f"`results/{e.artifact}` not generated yet" in text
+                      for e in EXPERIMENTS)
+        assert missing == len(EXPERIMENTS) - len(present)

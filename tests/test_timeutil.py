@@ -1,17 +1,12 @@
-"""Tests for repro.timeutil interval arithmetic and conversions."""
+"""Tests for repro.timeutil intervals and conversions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.timeutil import (
     Interval,
-    SECONDS_PER_DAY,
-    day_index,
     in_any_interval,
-    merge_intervals,
-    minute_index,
     to_datetime,
-    total_overlap,
     utc,
 )
 
@@ -29,16 +24,6 @@ class TestUtc:
         dt = to_datetime(epoch)
         assert (dt.year, dt.month, dt.day) == (2016, 11, 8)
         assert (dt.hour, dt.minute, dt.second) == (12, 30, 15)
-
-    def test_day_index(self):
-        origin = utc(2016, 6, 30)
-        assert day_index(origin, origin) == 0
-        assert day_index(origin + SECONDS_PER_DAY - 1, origin) == 0
-        assert day_index(origin + SECONDS_PER_DAY, origin) == 1
-
-    def test_minute_index(self):
-        assert minute_index(120.0, 0.0) == 2
-        assert minute_index(119.9, 0.0) == 1
 
 
 class TestInterval:
@@ -59,24 +44,6 @@ class TestInterval:
         assert not iv.contains(20)
         assert not iv.contains(9.999)
 
-    def test_overlaps(self):
-        assert Interval(0, 10).overlaps(Interval(5, 15))
-        assert not Interval(0, 10).overlaps(Interval(10, 20))
-
-    def test_intersect(self):
-        cut = Interval(0, 10).intersect(Interval(5, 15))
-        assert cut == Interval(5, 10)
-
-    def test_intersect_disjoint_is_none(self):
-        assert Interval(0, 10).intersect(Interval(10, 20)) is None
-
-    def test_iter_days_covers_span(self):
-        start = utc(2016, 7, 1, 12)
-        iv = Interval(start, start + 2 * SECONDS_PER_DAY)
-        days = list(iv.iter_days())
-        assert len(days) == 3  # partial first day + 2 more midnights
-        assert all(d % SECONDS_PER_DAY == 0 for d in days)
-
 
 class TestIntervalSets:
     def test_in_any_interval(self):
@@ -85,23 +52,6 @@ class TestIntervalSets:
         assert in_any_interval(25, gaps)
         assert not in_any_interval(15, gaps)
 
-    def test_total_overlap(self):
-        iv = Interval(0, 100)
-        others = [Interval(10, 20), Interval(90, 150)]
-        assert total_overlap(iv, others) == 20
-
-    def test_merge_intervals(self):
-        merged = merge_intervals([Interval(0, 10), Interval(5, 20),
-                                  Interval(30, 40)])
-        assert merged == [Interval(0, 20), Interval(30, 40)]
-
-    def test_merge_adjacent(self):
-        merged = merge_intervals([Interval(0, 10), Interval(10, 20)])
-        assert merged == [Interval(0, 20)]
-
-    def test_merge_empty(self):
-        assert merge_intervals([]) == []
-
 
 @given(st.integers(0, 10**9), st.integers(0, 10**6))
 def test_interval_contains_start_not_end(start, length):
@@ -109,16 +59,3 @@ def test_interval_contains_start_not_end(start, length):
     if length:
         assert iv.contains(start)
     assert not iv.contains(start + length)
-
-
-@given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 100)),
-                max_size=20))
-def test_merged_intervals_are_disjoint_and_sorted(spans):
-    intervals = [Interval(s, s + d) for s, d in spans]
-    merged = merge_intervals(intervals)
-    for a, b in zip(merged, merged[1:]):
-        assert a.end < b.start  # strictly disjoint, non-adjacent
-    # every original point stays covered
-    for iv in intervals:
-        if iv.duration:
-            assert in_any_interval(iv.start, merged)
