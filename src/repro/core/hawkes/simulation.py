@@ -19,6 +19,7 @@ from collections import deque
 
 import numpy as np
 
+from ...sampling import CategoricalCDF
 from ..events import DiscreteEvents
 from .model import HawkesParams
 
@@ -26,17 +27,48 @@ from .model import HawkesParams
 _MAX_EVENTS = 5_000_000
 
 
+class LagSampler:
+    """Child-lag draws from the rows of one ``(K, K, D)`` impulse.
+
+    ``draws(rng, k, dst, n)`` is ``rng.choice(np.arange(1, D + 1),
+    size=n, p=impulse[k, dst])``, draw for draw.  Each row's CDF is
+    checked and accumulated on the row's first draw, the draw on which
+    ``choice`` would first check it, so a bad row raises the same
+    ``ValueError`` at the same point; later draws reuse it.  Share one
+    sampler across simulations of the same impulse.
+    """
+
+    def __init__(self, impulse: np.ndarray) -> None:
+        self.impulse = impulse
+        self._rows: dict[tuple[int, int], CategoricalCDF] = {}
+
+    def draws(self, rng: np.random.Generator, k: int, dst: int,
+              n: int) -> np.ndarray:
+        row = self._rows.get((k, dst))
+        if row is None:
+            row = self._rows[(k, dst)] = CategoricalCDF(self.impulse[k, dst])
+        return row.draws(rng, n) + 1
+
+
 def simulate_branching(params: HawkesParams, n_bins: int,
                        rng: np.random.Generator | None = None,
+                       lags: LagSampler | None = None,
                        ) -> DiscreteEvents:
     """Draw one realization of the model over ``n_bins`` bins.
 
-    Raises ``RuntimeError`` if the cascade exceeds an internal event
-    budget, which only happens for super-critical ``W`` (spectral radius
-    well above 1).
+    ``lags`` is a :class:`LagSampler` of ``params.impulse`` to reuse
+    across calls; by default each call builds its own.  Raises
+    ``RuntimeError`` if the cascade exceeds an internal event budget,
+    which only happens for super-critical ``W`` (spectral radius well
+    above 1).
     """
     rng = rng or np.random.default_rng()
+    if lags is None:
+        lags = LagSampler(params.impulse)
+    elif lags.impulse is not params.impulse:
+        raise ValueError("lags must sample params.impulse")
     k_procs = params.n_processes
+    weights = params.weights.tolist()
     queue: deque[tuple[int, int]] = deque()
 
     # Immigrant (background) events: Poisson(lambda0) per bin, drawn in
@@ -48,7 +80,6 @@ def simulate_branching(params: HawkesParams, n_bins: int,
                 queue.append((int(t), k))
 
     all_events: list[tuple[int, int]] = []
-    lags = np.arange(1, params.max_lag + 1)
     produced = 0
     while queue:
         t, k = queue.popleft()
@@ -58,14 +89,12 @@ def simulate_branching(params: HawkesParams, n_bins: int,
             raise RuntimeError(
                 "event budget exceeded; weight matrix is likely unstable "
                 f"(spectral radius {params.spectral_radius():.3f})")
-        for dst in range(k_procs):
-            n_children = rng.poisson(params.weights[k, dst])
+        for dst, weight in enumerate(weights[k]):
+            n_children = rng.poisson(weight)
             if not n_children:
                 continue
-            child_lags = rng.choice(lags, size=n_children,
-                                    p=params.impulse[k, dst])
-            for lag in child_lags:
-                child_t = t + int(lag)
+            for lag in lags.draws(rng, k, dst, n_children).tolist():
+                child_t = t + lag
                 if child_t < n_bins:
                     queue.append((child_t, dst))
 

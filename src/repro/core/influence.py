@@ -8,7 +8,7 @@ quantities reported in Table 11 and Figures 10-11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Literal, Sequence
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..sampling import WeightedChoice
 from .domains import NewsCategory, NewsDomain, NewsRegistry, default_registry
 from .urls import canonicalize_url
 
@@ -70,6 +71,43 @@ class ArticleGenerator:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
         self._next_id = 0
+        self._roots: dict[str, str] = {}
+        #: (category, id(weights)) -> (copy of weights, domain sampler).
+        self._samplers: dict[tuple[NewsCategory, int],
+                             tuple[dict[str, float], WeightedChoice]] = {}
+
+    def _domain_sampler(self, category: NewsCategory,
+                        domain_weights: dict[str, float]) -> WeightedChoice:
+        """The weighted domain draw of one weights profile, built once.
+
+        Keyed by the profile's identity and checked against a copy of
+        its contents, so a mutated or recycled dict is rebuilt.
+        """
+        key = (category, id(domain_weights))
+        cached = self._samplers.get(key)
+        if cached is not None and cached[0] == domain_weights:
+            return cached[1]
+        members = self.registry.of_category(category)
+        weights = [domain_weights.get(d.name, 0.0) for d in members]
+        if sum(weights) <= 0:
+            weights = [1.0] * len(members)
+        sampler = WeightedChoice(members, weights)
+        self._samplers[key] = (dict(domain_weights), sampler)
+        return sampler
+
+    def _url_root(self, domain: NewsDomain) -> str:
+        """``http://`` plus the canonical host of ``domain``, built once.
+
+        Generated paths are already canonical (lowercase words and
+        digits, single slashes, no trailing slash, query or fragment),
+        so ``canonicalize_url(f"http://{domain.name}{path}")`` is this
+        root plus ``path``.
+        """
+        root = self._roots.get(domain.name)
+        if root is None:
+            root = self._roots[domain.name] = canonicalize_url(
+                f"http://{domain.name}/")[:-1]
+        return root
 
     def _slug(self, category: NewsCategory) -> str:
         if category == NewsCategory.ALTERNATIVE:
@@ -91,14 +129,12 @@ class ArticleGenerator:
                  domain_weights: dict[str, float] | None = None) -> Article:
         """Create one article of ``category`` published at ``published_at``."""
         if domain is None:
-            members = self.registry.of_category(category)
             if domain_weights:
-                weights = [domain_weights.get(d.name, 0.0) for d in members]
-                if sum(weights) <= 0:
-                    weights = [1.0] * len(members)
-                domain = self._rng.choices(members, weights=weights, k=1)[0]
+                domain = self._domain_sampler(
+                    category, domain_weights).draw(self._rng)
             else:
-                domain = self._rng.choice(members)
+                domain = self._rng.choice(
+                    self.registry.of_category(category))
         elif domain.category != category:
             raise ValueError(
                 f"domain {domain.name} is {domain.category}, not {category}")
@@ -112,9 +148,8 @@ class ArticleGenerator:
             path = f"/2016/{self._rng.randrange(1, 13):02d}/{slug}-{article_id}.html"
         else:
             path = f"/article/{article_id}/{slug}"
-        url = canonicalize_url(f"http://{domain.name}{path}")
         return Article(
-            url=url,
+            url=self._url_root(domain) + path,
             domain=domain.name,
             category=category,
             headline=self._headline(slug),

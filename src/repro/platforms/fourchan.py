@@ -11,6 +11,7 @@ Ephemerality is what a crawler races against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .base import IdAllocator, Post
 from ..timeutil import SECONDS_PER_DAY
@@ -20,6 +21,8 @@ ANONYMOUS = "Anonymous"
 
 #: Threads are permanently deleted this long after being purged.
 ARCHIVE_RETENTION = 7 * SECONDS_PER_DAY
+
+_bump_time = attrgetter("last_bumped_at")
 
 
 @dataclass
@@ -95,6 +98,19 @@ class FourchanPlatform:
         self.threads: dict[int, FourchanThread] = {}
         self.unmaterialized_posts: int = 0
         self._materialized_posts = 0
+        #: Per board, its live threads in creation order (the live
+        #: subsequence of ``FourchanBoard.thread_ids``).  Threads only
+        #: leave the live set when purged, so creation and purging keep
+        #: it current and the views never scan dead threads.
+        self._live: dict[str, list[FourchanThread]] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_live" not in state:  # pickled before the live index
+            self._live = {
+                name: [self.threads[tid] for tid in board.thread_ids
+                       if self.threads[tid].is_live]
+                for name, board in self.boards.items()}
 
     # -- boards ---------------------------------------------------------------
 
@@ -106,6 +122,7 @@ class FourchanPlatform:
         board = FourchanBoard(name=name, thread_capacity=thread_capacity,
                               bump_limit=bump_limit)
         self.boards[name] = board
+        self._live[name] = []
         return board
 
     def _require_board(self, name: str) -> FourchanBoard:
@@ -142,6 +159,7 @@ class FourchanPlatform:
         self._materialized_posts += 1
         self.threads[thread.thread_id] = thread
         board_obj.thread_ids.append(thread.thread_id)
+        self._live[board_obj.name].append(thread)
         self._enforce_capacity(board_obj, now=created_at)
         return thread
 
@@ -174,14 +192,14 @@ class FourchanPlatform:
 
     def _enforce_capacity(self, board: FourchanBoard, now: int) -> None:
         """Purge lowest-bumped threads once the board exceeds capacity."""
-        live = [tid for tid in board.thread_ids
-                if self.threads[tid].is_live]
+        live = self._live[board.name]
         excess = len(live) - board.thread_capacity
         if excess <= 0:
             return
-        by_bump = sorted(live, key=lambda tid: self.threads[tid].last_bumped_at)
-        for tid in by_bump[:excess]:
-            self.threads[tid].purged_at = now
+        for thread in sorted(live, key=_bump_time)[:excess]:
+            thread.purged_at = now
+        self._live[board.name] = [thread for thread in live
+                                  if thread.is_live]
 
     def expire_archives(self, now: int) -> int:
         """Permanently delete threads purged more than 7 days ago."""
@@ -198,9 +216,8 @@ class FourchanPlatform:
     def catalog(self, board: str) -> list[FourchanThread]:
         """Live threads in bump order (what the site shows)."""
         board_obj = self._require_board(board)
-        live = [self.threads[tid] for tid in board_obj.thread_ids
-                if self.threads[tid].is_live]
-        return sorted(live, key=lambda t: t.last_bumped_at, reverse=True)
+        return sorted(self._live[board_obj.name], key=_bump_time,
+                      reverse=True)
 
     def visible_threads(self, board: str) -> list[FourchanThread]:
         """Live + archived-but-not-yet-deleted threads (crawler view)."""

@@ -158,9 +158,10 @@ def generate_study_report(study, include_influence: bool = True) -> str:
         n_urls, result, aggregate = len(study.corpus), None, None
         if n_urls >= 4:
             result = study.influence()
-            try:
+            # Without fits in both news categories there is no Figure 10
+            # aggregate to compute or cache, so do not ask the store.
+            if all(result.of_category(category)
+                   for category in NewsCategory):
                 aggregate = study.aggregate()
-            except ValueError:  # a news category has no fitted URLs
-                pass
         sections.append(_section_influence(n_urls, result, aggregate))
     return "\n".join(sections)

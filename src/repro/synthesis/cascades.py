@@ -20,7 +20,9 @@ import numpy as np
 
 from ..config import SELECTED_SUBREDDITS, STUDY_END
 from ..core.hawkes import HawkesParams, simulate_branching
+from ..core.hawkes.simulation import LagSampler
 from ..news.articles import Article
+from ..sampling import CategoricalCDF
 from .diurnal import DiurnalProfile, apply_diurnal
 from .params import (
     GroundTruth,
@@ -29,9 +31,11 @@ from .params import (
 )
 
 #: Subreddit mix (Table 11 event counts) for local Reddit stories.
-_SUBREDDIT_WEIGHTS = {
-    True: PAPER_EVENT_COUNTS_ALTERNATIVE[:6].astype(float),
-    False: PAPER_EVENT_COUNTS_MAINSTREAM[:6].astype(float),
+_SUBREDDIT_DRAWS = {
+    alternative: CategoricalCDF(weights / weights.sum())
+    for alternative, weights in (
+        (True, PAPER_EVENT_COUNTS_ALTERNATIVE[:6].astype(float)),
+        (False, PAPER_EVENT_COUNTS_MAINSTREAM[:6].astype(float)))
 }
 
 
@@ -62,10 +66,15 @@ class CascadeEngine:
         self.rng = rng
         self.study_end = study_end
         self._impulse = ground_truth.impulse()
+        self._lags = LagSampler(self._impulse)
         self._diurnal = (DiurnalProfile()
                          if ground_truth.diurnal_enabled else None)
         self._local_homes = ("Twitter", "reddit-six", "/pol/",
                              "Reddit-other", "4chan-other")
+        if len(ground_truth.local_home_probs) != len(self._local_homes):
+            raise ValueError(
+                f"local_home_probs needs {len(self._local_homes)} values")
+        self._home_draw = CategoricalCDF(ground_truth.local_home_probs)
 
     # -- public API --------------------------------------------------------
 
@@ -155,14 +164,16 @@ class CascadeEngine:
             weights=truth.weights(article.is_alternative),
             impulse=self._impulse,
         )
-        simulated = simulate_branching(params, n_bins=window, rng=self.rng)
-        events: list[tuple[float, str]] = []
-        for m in range(len(simulated)):
-            name = truth.processes[int(simulated.processes[m])]
-            base = article.published_at + 60.0 * int(simulated.bins[m])
-            for _ in range(int(simulated.counts[m])):
-                events.append((base + self.rng.uniform(0, 60), name))
-        return events
+        simulated = simulate_branching(params, n_bins=window, rng=self.rng,
+                                       lags=self._lags)
+        # One event per count, jittered uniformly within its minute.
+        counts = simulated.counts
+        bases = article.published_at + 60.0 * np.repeat(simulated.bins,
+                                                        counts)
+        times = bases + self.rng.uniform(0, 60, size=len(bases))
+        names = [truth.processes[k] for k in
+                 np.repeat(simulated.processes, counts).tolist()]
+        return list(zip(times.tolist(), names))
 
     def _draw_window_minutes(self) -> int:
         truth = self.truth
@@ -174,12 +185,9 @@ class CascadeEngine:
     # -- local stories -----------------------------------------------------
 
     def _pick_local_home(self, alternative: bool) -> str:
-        home = self.rng.choice(len(self._local_homes),
-                               p=self.truth.local_home_probs)
-        name = self._local_homes[home]
+        name = self._local_homes[self._home_draw.draw(self.rng)]
         if name == "reddit-six":
-            weights = _SUBREDDIT_WEIGHTS[alternative]
-            idx = self.rng.choice(6, p=weights / weights.sum())
+            idx = _SUBREDDIT_DRAWS[alternative].draw(self.rng)
             return SELECTED_SUBREDDITS[idx]
         return name
 

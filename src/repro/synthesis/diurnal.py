@@ -11,9 +11,11 @@ unchanged).  Disabled by default; enable via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ..sampling import CategoricalCDF
 from ..timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -43,11 +45,18 @@ class DiurnalProfile:
         """Probabilities over the 24 hours (sums to 1)."""
         return self.hourly / self.hourly.sum()
 
+    @cached_property
+    def _hour_draw(self) -> CategoricalCDF:
+        return CategoricalCDF(self.normalized())
+
     def sample_second_of_day(self, rng: np.random.Generator,
                              size: int | None = None) -> np.ndarray:
-        """Draw seconds-of-day distributed per the profile."""
+        """Draw seconds-of-day distributed per the profile.
+
+        The hour is the draw of ``rng.choice(24, size, p=normalized())``.
+        """
         n = size if size is not None else 1
-        hours = rng.choice(24, size=n, p=self.normalized())
+        hours = self._hour_draw.draws(rng, n)
         seconds = hours * SECONDS_PER_HOUR + rng.uniform(
             0, SECONDS_PER_HOUR, size=n)
         return seconds if size is not None else seconds[0]

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..sampling import WeightedChoice
 
 class UserArchetype(enum.Enum):
     MAINSTREAM_ONLY = "mainstream_only"
@@ -93,14 +94,20 @@ class UserPopulation:
             ))
         self._index_pools()
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_authors" not in state:  # pickled before the author index
+            self.__dict__.pop("_pool", None)
+            self._index_pools()
+
     def _index_pools(self) -> None:
-        """Precompute per-category author pools and sampling weights.
+        """Precompute per-category author pools and their cumulative weights.
 
         A mainstream post can come from a mainstream-only or a mixed
         user (weighted by activity and 1 - preference); symmetrically
         for alternative posts.
         """
-        self._pool: dict[bool, tuple[list[UserProfile], list[float]]] = {}
+        self._authors: dict[bool, WeightedChoice] = {}
         for alternative in (False, True):
             members: list[UserProfile] = []
             weights: list[float] = []
@@ -124,12 +131,14 @@ class UserPopulation:
             if not members:  # degenerate tiny populations
                 members = list(self.profiles)
                 weights = [p.activity for p in self.profiles]
-            self._pool[alternative] = (members, weights)
+            self._authors[alternative] = WeightedChoice(members, weights)
 
     def sample_author(self, alternative: bool) -> UserProfile:
-        """Draw an author for a post of the given category."""
-        members, weights = self._pool[alternative]
-        return self._rng.choices(members, weights=weights, k=1)[0]
+        """Draw an author for a post of the given category.
+
+        The same draw as ``rng.choices(members, weights=weights)``.
+        """
+        return self._authors[alternative].draw(self._rng)
 
     @property
     def bots(self) -> list[UserProfile]:

@@ -27,6 +27,7 @@ from ..platforms.generic import GenericPlatform
 from ..platforms.registry import PlatformSpec
 from ..platforms.reddit import RedditPlatform
 from ..platforms.twitter import TWEET_MAX_CHARS, TwitterPlatform
+from ..sampling import CategoricalCDF
 from .cascades import CascadeEngine, StoryCascade
 from .params import (
     GroundTruth,
@@ -41,7 +42,6 @@ from .users import (
     TWITTER_SHAPE,
     PopulationShape,
     UserPopulation,
-    UserProfile,
 )
 
 
@@ -137,6 +137,8 @@ class _TwitterMaterializer:
                 followers=int(self.rng.pareto(1.2) * 50) + 1,
             )
             self._user_ids[profile.name] = user.user_id
+        self._alternative_names = tuple(
+            domain.name for domain in world.registry.alternative)
 
     def _compose(self, article: Article) -> str:
         tag = "#" + article.headline.split()[-1].lower()
@@ -190,11 +192,7 @@ class _TwitterMaterializer:
                 self.platform.delete_tweet(tweet.tweet_id)
 
     def _looks_alternative(self, text: str) -> bool:
-        registry = self.world.registry
-        for domain in registry.alternative:
-            if domain.name in text:
-                return True
-        return False
+        return any(name in text for name in self._alternative_names)
 
 
 class _RedditMaterializer:
@@ -218,15 +216,16 @@ class _RedditMaterializer:
         main_names = list(OTHER_SUBREDDIT_MAIN_SHARES)
         main_weights = np.array(list(OTHER_SUBREDDIT_MAIN_SHARES.values()))
         self._other_pools = {
-            True: (alt_names, alt_weights / alt_weights.sum()),
-            False: (main_names, main_weights / main_weights.sum()),
+            True: (alt_names, CategoricalCDF(alt_weights / alt_weights.sum())),
+            False: (main_names,
+                    CategoricalCDF(main_weights / main_weights.sum())),
         }
 
     def _other_subreddit(self, alternative: bool) -> str:
         if self.rng.random() < self.world.config.generic_subreddit_prob:
             return self._generic[int(self.rng.integers(len(self._generic)))]
-        names, probs = self._other_pools[alternative]
-        return names[int(self.rng.choice(len(names), p=probs))]
+        names, draw = self._other_pools[alternative]
+        return names[draw.draw(self.rng)]
 
     def materialize(self, cascade: StoryCascade, when: float,
                     community: str) -> None:
@@ -250,9 +249,9 @@ class _RedditMaterializer:
             recent.append(post.post_id)
             if len(recent) > 50:
                 del recent[0]
-            for _ in range(int(self.rng.integers(0, 20))):
-                self.platform.vote(post.post_id,
-                                   1 if self.rng.random() < 0.75 else -1)
+            n_votes = int(self.rng.integers(0, 20))
+            for coin in self.rng.random(n_votes).tolist():
+                self.platform.vote(post.post_id, 1 if coin < 0.75 else -1)
 
 
 class _FourchanMaterializer:
@@ -276,13 +275,14 @@ class _FourchanMaterializer:
         article = cascade.article
         board = self._board_of(community)
         text = f"{article.headline}\n{article.url}"
-        catalog = self.platform.catalog(board)
-        open_new = (not catalog or self.rng.random()
+        # Replies go to one of the catalog's first 20 threads.
+        front = self.platform.catalog(board)[:20]
+        open_new = (not front or self.rng.random()
                     < self.world.config.pol_new_thread_prob)
         if open_new:
             self.platform.create_thread(board, text, int(when))
         else:
-            thread = catalog[int(self.rng.integers(min(len(catalog), 20)))]
+            thread = front[int(self.rng.integers(len(front)))]
             quotes = (thread.op.post_number,) if self.rng.random() < 0.4 else ()
             self.platform.reply(thread.thread_id, text, int(when),
                                 sage=self.rng.random() < 0.05,
@@ -359,14 +359,13 @@ def build_world(config: WorldConfig | None = None) -> World:
                   for category in NewsCategory}
     for category, schedule in schedules:
         groups = list(flavor_mix[category])
-        group_probs = [flavor_mix[category][g] for g in groups]
+        group_draw = CategoricalCDF([flavor_mix[category][g] for g in groups])
         for published_at in schedule.timestamps:
             viral = engine.draw_viral()
             home: str | None = None
             flavor: str | None = None
             if viral:
-                flavor = groups[int(rng.choice(len(groups),
-                                               p=group_probs))]
+                flavor = groups[group_draw.draw(rng)]
                 weights = blend[(category, flavor)]
             else:
                 home = engine.pick_local_home(

@@ -176,6 +176,22 @@ class TestWarmCache:
         assert warm.stats["store_hits"] == 1  # table hit; deps untouched
         assert warm_artifact.render() == cold_artifact.render()
 
+    def test_warm_report_of_one_category_corpus_only_hits(self, tmp_path):
+        # This world's 8-URL corpus is all mainstream, so Figure 10 has
+        # no aggregate; the warm report must not miss the store on it.
+        config = WorldConfig(seed=7041, n_stories_alternative=50,
+                             n_stories_mainstream=120, n_twitter_users=80,
+                             n_reddit_users=60)
+        kwargs = dict(hawkes=GOLDEN_HAWKES, fit_seed=7041, max_urls=8,
+                      n_jobs=1, cache_dir=tmp_path / "cache")
+        cold = Study(config, **kwargs)
+        text = cold.report()
+        assert not cold.influence().of_category(NewsCategory.ALTERNATIVE)
+        warm = Study(config, **kwargs)
+        assert warm.report() == text
+        assert warm.stats["computed"] == 0
+        assert warm.store.stats()["hit_ratio"] == 1.0
+
     def test_shared_store_object(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         a = Study(world=WorldConfig(**TINY_KWARGS), store=store)

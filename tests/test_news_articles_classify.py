@@ -31,6 +31,21 @@ class TestArticleGenerator:
         assert classified.url == article.url
         assert classified.domain == article.domain
 
+    def test_url_equals_canonicalized_raw_url(self, registry):
+        # Only the host is canonicalized (once per domain): every
+        # generated path must come out of canonicalize_url unchanged.
+        generator = ArticleGenerator(registry, seed=8)
+        paths = set()
+        for domain in registry.domains:
+            for t in range(12):
+                article = generator.generate(domain.category, t,
+                                             domain=domain)
+                path = "/" + article.url.split("/", 3)[3]
+                paths.add(path.split("/")[1])
+                assert article.url == canonicalize_url(
+                    f"http://{domain.name}{path}")
+        assert paths == {"news", "2016", "article"}
+
     def test_urls_unique_across_batch(self, registry):
         generator = ArticleGenerator(registry, seed=3)
         articles = generator.generate_batch(
