@@ -9,17 +9,15 @@ of cascades (both ``n_jobs=1``, so the comparison isolates the
 packing, not process fan-out), checks the two are bit-identical, and
 reports urls/sec plus the batched speedup per shape.
 
-Each run emits ``results/BENCH_batched_corpus.json``; ``BENCH_SMOKE=1``
-shrinks the corpora for a fast CI pass (the JSON is emitted either
-way).  Corpora are synthesized directly — no world build — so the full
-mode stays in seconds, not minutes.
+``BENCH_SMOKE=1`` shrinks the corpora for a fast CI pass.  Corpora are
+synthesized directly — no world build — so the full mode stays in
+seconds, not minutes.
 """
 
 import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
 from repro.core.hawkes import LogBinnedLagBasis, fit_em, fit_gibbs
@@ -28,8 +26,6 @@ from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
 from repro.parallel import spawn_task_seeds
 from repro.news.domains import NewsCategory
 from repro.reporting import render_table
-
-from _helpers import write_bench_json
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
@@ -45,23 +41,6 @@ BENCH_HAWKES = HawkesConfig(max_lag_bins=120)
 GIBBS_HAWKES = HawkesConfig(max_lag_bins=120, gibbs_iterations=30,
                             gibbs_burn_in=10)
 GIBBS_URLS = 40 if SMOKE else 300
-
-_RESULTS: dict = {}
-_METRICS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    yield
-    write_bench_json(_RESULTS, "BENCH_batched_corpus.json", case={
-        "smoke": SMOKE,
-        "shapes": [{"name": name, "n_urls": n, "events_per_url": m}
-                   for name, n, m in SHAPES],
-        "max_lag_bins": BENCH_HAWKES.max_lag_bins,
-        "gibbs_urls": GIBBS_URLS,
-        "gibbs_sweeps": GIBBS_HAWKES.gibbs_iterations,
-        "n_jobs": 1,
-    }, metrics=_METRICS)
 
 
 def build_corpus(n_urls, events_per_url, seed):
@@ -129,21 +108,9 @@ def test_bench_batched_corpus(benchmark, save_result):
             assert np.array_equal(got.weights, ref.weights)
             assert got.log_likelihood == ref.log_likelihood
         speedup = per_url_s / batched_s
-        for mode, elapsed in (("per-url", per_url_s),
-                              ("batched", batched_s)):
-            _RESULTS[f"{name}/{mode}"] = {
-                "ops_per_sec": n_urls / elapsed,
-                "mean_seconds": elapsed / n_urls,
-                "wall_seconds": elapsed,
-                "n_urls": n_urls,
-                "events_per_url": events_per_url,
-            }
-        _RESULTS[f"{name}/speedup"] = {"batched_over_per_url": speedup}
         rows.append([name, str(n_urls), str(events_per_url),
                      f"{n_urls / per_url_s:.1f}",
                      f"{n_urls / batched_s:.1f}", f"{speedup:.1f}x"])
-    from repro.obs import get_registry
-    _METRICS.update(get_registry().snapshot())
     table = render_table(
         ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
          "Speedup"],
@@ -183,16 +150,6 @@ def test_bench_batched_gibbs_corpus(save_result):
             assert np.array_equal(got.weights, ref.weights)
             assert got.log_likelihood == ref.log_likelihood
         speedup = per_url_s / batched_s
-        for mode, elapsed in (("per-url", per_url_s),
-                              ("batched", batched_s)):
-            _RESULTS[f"gibbs-{name}/{mode}"] = {
-                "ops_per_sec": GIBBS_URLS / elapsed,
-                "mean_seconds": elapsed / GIBBS_URLS,
-                "wall_seconds": elapsed,
-                "n_urls": GIBBS_URLS,
-                "events_per_url": events_per_url,
-            }
-        _RESULTS[f"gibbs-{name}/speedup"] = {"batched_over_per_url": speedup}
         rows.append([name, str(GIBBS_URLS), str(events_per_url),
                      f"{GIBBS_URLS / per_url_s:.1f}",
                      f"{GIBBS_URLS / batched_s:.1f}", f"{speedup:.1f}x"])

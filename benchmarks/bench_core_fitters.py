@@ -4,10 +4,8 @@ Times the pieces every experiment pays for: branching simulation,
 a single Gibbs fit, a single EM fit, and log-likelihood evaluation, on
 a standardized 8-process synthetic cascade sized like a busy corpus URL.
 
-Each run also emits ``results/BENCH_core_fitters.json`` with ops/sec
-per benchmark, so CI can archive the perf trajectory.  Set
-``BENCH_SMOKE=1`` to shrink the case (fewer bins and sweeps) for a fast
-CI smoke pass; the JSON is emitted either way.
+Set ``BENCH_SMOKE=1`` to shrink the case (fewer bins and sweeps) for a
+fast CI smoke pass.
 """
 
 import os
@@ -24,8 +22,6 @@ from repro.core.hawkes import (
 from repro.core.hawkes.basis import LogBinnedLagBasis
 from repro.core.hawkes.model import discrete_log_likelihood
 
-from _helpers import record_ops, write_bench_json
-
 K = 8
 MAX_LAG = 720
 
@@ -33,21 +29,6 @@ SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_BINS = 2_000 if SMOKE else 10_000
 GIBBS_SWEEPS, GIBBS_BURN = (10, 3) if SMOKE else (40, 15)
 EM_ITERATIONS = 10 if SMOKE else 50
-
-_OPS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    yield
-    write_bench_json(_OPS, "BENCH_core_fitters.json", case={
-        "smoke": SMOKE,
-        "n_processes": K,
-        "max_lag": MAX_LAG,
-        "n_bins": N_BINS,
-        "gibbs_sweeps": GIBBS_SWEEPS,
-        "em_iterations": EM_ITERATIONS,
-    })
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +52,12 @@ def test_bench_simulate_branching(benchmark, standard_case):
     result = benchmark(simulate_branching, params, N_BINS,
                        np.random.default_rng(2))
     assert result.total_events > 0
-    record_ops(_OPS, "simulate_branching", benchmark)
 
 
 def test_bench_log_likelihood(benchmark, standard_case):
     params, events = standard_case
     value = benchmark(discrete_log_likelihood, params, events)
     assert np.isfinite(value)
-    record_ops(_OPS, "log_likelihood", benchmark)
 
 
 def test_bench_fit_gibbs(benchmark, standard_case):
@@ -93,7 +72,6 @@ def test_bench_fit_gibbs(benchmark, standard_case):
 
     result = benchmark(run)
     assert result.params.n_processes == K
-    record_ops(_OPS, "fit_gibbs", benchmark)
 
 
 def test_bench_fit_em(benchmark, standard_case):
@@ -106,4 +84,3 @@ def test_bench_fit_em(benchmark, standard_case):
 
     result = benchmark(run)
     assert result.params.n_processes == K
-    record_ops(_OPS, "fit_em", benchmark)

@@ -1,24 +1,15 @@
-"""Live engine: row-drain ingest throughput + incremental scaling.
+"""Live engine: incremental vs batch scaling.
 
-Two measurements back the `repro.live` design:
+After N records, applying Δ more is O(Δ) live but O(N) by rescan; the
+ratio must grow with N.  Δ is N/50 at every size: one live update costs
+about 3-4x one record of the batch rescan, so the live path wins 2x
+only once N exceeds about 8Δ, and a fixed Δ would measure the small
+smoke stream (~2.4k records) at N/Δ of about 5, where the claim does
+not hold.  For ingest throughput (collector streams, bus merge,
+aggregators and JSON checkpoints) run the ``live`` workload of
+``perfbench/run.py``.
 
-* **ingest throughput** — records/sec of `LiveEngine.run` over one
-  pre-merged, in-memory replay source (`EventBus.events` + each
-  aggregator's `update()`), best of several reps, written to
-  ``results/BENCH_live_ingest.json``.  No collectors run inside the
-  timed region: the world is generated and collected once, sorted, and
-  replayed, so this times the bus and the aggregators alone.  For the
-  end-to-end drain (collector streams, bus merge, aggregators and
-  JSON checkpoints) run the ``live`` workload of ``perfbench/run.py``.
-* **incremental vs batch scaling** — after N records, applying Δ more
-  is O(Δ) live but O(N) by rescan; the ratio must grow with N.  Δ is
-  N/50 at every size: one live update costs about 3-4x one record of
-  the batch rescan, so the live path wins 2x only once N exceeds about
-  8Δ, and a fixed Δ would measure the small smoke stream (~2.4k
-  records) at N/Δ of about 5, where the claim does not hold.
-
-``BENCH_SMOKE=1`` shrinks the world for a fast CI pass (the JSON is
-emitted either way).
+``BENCH_SMOKE=1`` shrinks the world for a fast CI pass.
 """
 
 from __future__ import annotations
@@ -32,83 +23,25 @@ from repro.analysis import characterization as chz
 from repro.analysis import sequences
 from repro.api import Study
 from repro.collection.store import Dataset
-from repro.live import EventBus, LiveEngine
+from repro.live import LiveEngine
 from repro.news.domains import NewsCategory
 from repro.reporting import render_table
 from repro.synthesis.world import WorldConfig
 
-from _helpers import write_bench_json
-
 ALT = NewsCategory.ALTERNATIVE
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-
-#: Reps of the drain; best-of cancels one-off machine noise.
-REPS = 2 if SMOKE else 5
 
 INGEST_CONFIG = (WorldConfig(seed=7, n_stories_alternative=120,
                              n_stories_mainstream=320,
                              n_twitter_users=150, n_reddit_users=120)
                  if SMOKE else WorldConfig(seed=7))
 
-_RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    yield
-    write_bench_json(_RESULTS, "BENCH_live_ingest.json", case={
-        "smoke": SMOKE,
-        "world_seed": INGEST_CONFIG.seed,
-        "reps": REPS,
-    })
-
 
 @pytest.fixture(scope="module")
 def live_records():
     dataset = Study(world=INGEST_CONFIG).data.merged()
     return sorted(dataset, key=lambda r: r.created_at)
-
-
-def _row_run(records):
-    engine = LiveEngine(EventBus([("replay", iter(records))]),
-                        summary_every=0)
-    engine.run()
-    return engine
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - start
-
-
-def test_live_ingest_row(benchmark, live_records, save_result):
-    records = live_records
-    n = len(records)
-
-    # One rep rides the benchmark fixture so the run is visible to
-    # pytest-benchmark's own reporting; the rest run manually.
-    _, best = benchmark.pedantic(
-        _timed, args=(_row_run, records), rounds=1, iterations=1)
-    for _ in range(REPS - 1):
-        _, elapsed = _timed(_row_run, records)
-        best = min(best, elapsed)
-
-    _RESULTS["row"] = {
-        "ops_per_sec": n / best,
-        "mean_seconds": best / n,
-        "wall_seconds": best,
-        "records": n,
-    }
-    table = render_table(
-        ["Path", "records/sec", "wall (s)"],
-        [["row", f"{n / best:,.0f}", f"{best:.3f}"]],
-        title=f"Live ingest: in-memory replay drain, {n} records"
-              f"{' (smoke)' if SMOKE else ''}")
-    save_result("live_ingest_throughput.txt", table)
-    print()
-    print(table)
 
 
 def _batch_answers(records):

@@ -8,10 +8,8 @@ path: world → collect → corpus → influence fit, then a live
 point is that the K-platform generalization costs nothing on the paper
 path and scales sanely with K.
 
-Each run emits ``results/BENCH_scenarios.json``; ``BENCH_SMOKE=1``
-shrinks the worlds for a fast CI pass (the JSON is emitted either
-way).  All fits use fast EM so the bench measures the scenario
-plumbing, not Gibbs sweeps.
+``BENCH_SMOKE=1`` shrinks the worlds for a fast CI pass.  All fits use
+fast EM so the bench measures the scenario plumbing, not Gibbs sweeps.
 """
 
 import dataclasses
@@ -20,14 +18,10 @@ import os
 import threading
 import time
 
-import pytest
-
 from repro.api import Study, StudyService
 from repro.config import HawkesConfig
 from repro.reporting import render_table
 from repro.scenarios import get_scenario
-
-from _helpers import write_bench_json
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
@@ -46,21 +40,6 @@ MAX_URLS = 15 if SMOKE else 60
 SERVE_REQUESTS = 50 if SMOKE else 300
 
 BENCH_HAWKES = HawkesConfig(gibbs_iterations=20, gibbs_burn_in=6)
-
-_RESULTS: dict = {}
-_METRICS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    yield
-    write_bench_json(_RESULTS, "BENCH_scenarios.json", case={
-        "smoke": SMOKE,
-        "scenarios": list(SCENARIOS),
-        "scale": SCALE,
-        "max_urls": MAX_URLS,
-        "serve_requests": SERVE_REQUESTS,
-    }, metrics=_METRICS)
 
 
 def _scaled_study(name: str) -> Study:
@@ -120,24 +99,9 @@ def test_bench_scenarios(benchmark, save_result):
         assert result.processes == scenario.ecosystem.processes
         n_urls = len(result.fits)
         serve_s = _serve_seconds(study)
-        _RESULTS[f"{name}/fit"] = {
-            "ops_per_sec": n_urls / fit_s if fit_s else None,
-            "mean_seconds": fit_s / max(1, n_urls),
-            "wall_seconds": fit_s,
-            "k": scenario.k,
-            "n_urls": n_urls,
-        }
-        _RESULTS[f"{name}/serve"] = {
-            "ops_per_sec": SERVE_REQUESTS / serve_s,
-            "mean_seconds": serve_s / SERVE_REQUESTS,
-            "wall_seconds": serve_s,
-            "requests": SERVE_REQUESTS,
-        }
         rows.append([name, str(scenario.k), str(n_urls),
                      f"{n_urls / fit_s:.1f}" if fit_s else "-",
                      f"{SERVE_REQUESTS / serve_s:.0f}"])
-    from repro.obs import get_registry
-    _METRICS.update(get_registry().snapshot())
     table = render_table(
         ["Scenario", "K", "Corpus URLs", "fit URLs/s", "serve req/s"],
         rows, title=f"Scenario presets end-to-end "

@@ -46,7 +46,7 @@ from . import (
 )
 from .api import ArtifactStore, Study, StudyService, TableArtifact
 from .scenarios import Scenario, get_scenario, scenario_names
-from .config import HawkesConfig, StudyConfig
+from .config import HawkesConfig
 from .core import InfluenceResult, UrlCascade, fit_corpus
 from .core.influence import CorpusSummary, UrlFit, WeightAggregate
 from .news.domains import NewsCategory
@@ -81,7 +81,6 @@ __all__ = [
     "HawkesConfig",
     "InfluenceResult",
     "NewsCategory",
-    "StudyConfig",
     "UrlCascade",
     "UrlFit",
     "WeightAggregate",

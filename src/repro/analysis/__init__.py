@@ -3,7 +3,7 @@
 ``characterization`` covers Section 3 (Tables 1-7, Figures 1-3),
 ``temporal`` covers Section 4.1-4.2 (Figures 4-7, Table 8),
 ``sequences`` covers the appearance-order statistics (Tables 9-10),
-``graphs`` builds the Figure 8 ecosystem digraphs, and ``stats`` holds
+``graphs`` counts the Figure 8 ecosystem graph edges, and ``stats`` holds
 the shared ECDF / Kolmogorov-Smirnov machinery.
 """
 

@@ -33,15 +33,6 @@ class UserFeatures:
     gap_cv: float
     unique_url_fraction: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([
-            self.posts_per_day,
-            self.alternative_fraction,
-            self.retweet_fraction,
-            self.gap_cv,
-            self.unique_url_fraction,
-        ])
-
 
 def extract_user_features(dataset: Dataset,
                           retweet_marker: str = "RT @",

@@ -1,53 +1,52 @@
 """Figure 8: the news-ecosystem source graphs.
 
-For each news category we build a weighted digraph whose nodes are the
-news domains plus the three platforms.  For every URL, an edge connects
-its domain to the platform where it first appeared, and — first hop
-only — that platform to the second platform that picked it up.  Edge
-weights count unique URLs.
+For each news category the graph links the news domains to the
+platforms.  For every URL, an edge connects its domain to the platform
+where it first appeared, and — first hop only — that platform to the
+second platform that picked it up.  Edge weights count unique URLs, so
+the graph is two count maps.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import NamedTuple
 
 from ..collection.store import Dataset
 from ..news.domains import NewsCategory
 from .sequences import first_appearances, sequence_of
 
 
+class EcosystemGraph(NamedTuple):
+    """The Figure 8 edge weights for one category."""
+
+    #: domain -> Counter(first platform -> unique URLs), first-seen order.
+    domains: dict[str, Counter]
+    #: Counter((first platform, second platform) -> unique URLs).
+    hops: Counter
+
+
 def build_ecosystem_graph(named_slices: dict[str, Dataset],
                           category: NewsCategory,
-                          url_domains: dict[str, str]) -> nx.DiGraph:
-    """Build the Figure 8 digraph for one category.
+                          url_domains: dict[str, str]) -> EcosystemGraph:
+    """Build the Figure 8 graph for one category.
 
     ``url_domains`` maps each URL to its news domain (obtainable from
     any dataset's records).
     """
-    graph = nx.DiGraph()
-    for platform in named_slices:
-        graph.add_node(platform, kind="platform")
+    domains: dict[str, Counter] = {}
+    hops: Counter = Counter()
     for url, platform_firsts in first_appearances(
             named_slices, category).items():
         domain = url_domains.get(url)
         if domain is None:
             continue
         sequence = sequence_of(platform_firsts)
-        if domain not in graph:
-            graph.add_node(domain, kind="domain")
-        _bump_edge(graph, domain, sequence[0])
+        domains.setdefault(domain, Counter())[sequence[0]] += 1
         if len(sequence) > 1:
-            _bump_edge(graph, sequence[0], sequence[1])
-    return graph
-
-
-def _bump_edge(graph: nx.DiGraph, src: str, dst: str) -> None:
-    if graph.has_edge(src, dst):
-        graph[src][dst]["weight"] += 1
-    else:
-        graph.add_edge(src, dst, weight=1)
+            hops[sequence[:2]] += 1
+    return EcosystemGraph(domains, hops)
 
 
 @dataclass(frozen=True)
@@ -63,71 +62,33 @@ class DomainFirstPlatform:
         return max(self.shares, key=lambda p: self.shares[p])
 
 
-def domain_first_platform_shares(graph: nx.DiGraph,
+def domain_first_platform_shares(graph: EcosystemGraph,
                                  platforms: tuple[str, ...],
                                  ) -> list[DomainFirstPlatform]:
     """Per-domain distribution over first-appearance platforms.
 
     This is the quantity the paper reads off Figure 8 ("breitbart.com
     URLs appear first on the six selected subreddits more often...").
+    Rows run by total, largest first; equal totals keep first-seen order.
     """
     rows = []
-    platform_set = set(platforms)
-    for node, data in graph.nodes(data=True):
-        if data.get("kind") != "domain":
-            continue
-        weights = {p: graph[node][p]["weight"]
-                   for p in graph.successors(node) if p in platform_set}
-        total = sum(weights.values())
+    for domain, firsts in graph.domains.items():
+        total = sum(firsts[p] for p in platforms)
         if not total:
             continue
         rows.append(DomainFirstPlatform(
-            domain=node,
-            shares={p: weights.get(p, 0) / total for p in platforms},
+            domain=domain,
+            shares={p: firsts[p] / total for p in platforms},
             total=total,
         ))
     rows.sort(key=lambda r: r.total, reverse=True)
     return rows
 
 
-def platform_hop_weights(graph: nx.DiGraph,
+def platform_hop_weights(graph: EcosystemGraph,
                          platforms: tuple[str, ...],
                          ) -> dict[tuple[str, str], int]:
     """Unique-URL counts on platform-to-platform first-hop edges."""
-    weights: dict[tuple[str, str], int] = {}
-    for src in platforms:
-        for dst in platforms:
-            if src != dst and graph.has_edge(src, dst):
-                weights[(src, dst)] = graph[src][dst]["weight"]
-    return weights
-
-
-def export_graphml(graph: nx.DiGraph, path) -> None:
-    """Write the ecosystem graph as GraphML for external tooling."""
-    nx.write_graphml(graph, str(path))
-
-
-def platform_centrality(graph: nx.DiGraph,
-                        platforms: tuple[str, ...],
-                        ) -> dict[str, dict[str, float]]:
-    """Weighted centrality summary of the platform nodes.
-
-    ``in_strength`` counts URLs arriving from domains plus first hops
-    received; ``out_strength`` counts first hops passed on; ``pagerank``
-    is computed over the full weighted digraph.
-    """
-    pagerank = nx.pagerank(graph, weight="weight")
-    summary: dict[str, dict[str, float]] = {}
-    for platform in platforms:
-        if platform not in graph:
-            continue
-        in_strength = sum(d["weight"] for _, _, d
-                          in graph.in_edges(platform, data=True))
-        out_strength = sum(d["weight"] for _, _, d
-                           in graph.out_edges(platform, data=True))
-        summary[platform] = {
-            "in_strength": float(in_strength),
-            "out_strength": float(out_strength),
-            "pagerank": float(pagerank.get(platform, 0.0)),
-        }
-    return summary
+    return {(src, dst): graph.hops[(src, dst)]
+            for src in platforms for dst in platforms
+            if (src, dst) in graph.hops}

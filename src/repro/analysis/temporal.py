@@ -152,12 +152,6 @@ class CrossPlatformLags:
     n_a_first: int
     n_b_first: int
 
-    def cross_point_seconds(self) -> float | None:
-        """Figure 7's "cross point" between the two direction CDFs."""
-        if self.a_first is None or self.b_first is None:
-            return None
-        return self.a_first.crossing(self.b_first)
-
     def turning_share_24h(self) -> tuple[float, float]:
         """CDF mass within 24 h for each direction (the turning point)."""
         a = float(self.a_first(SECONDS_PER_DAY)) if self.a_first else 0.0

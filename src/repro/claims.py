@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
 import numpy as np
 
 from .analysis import characterization as chz
@@ -643,8 +642,8 @@ def cross_platform_pairs(data) -> dict:
             for category in (ALT, MAIN) for pair, args in pairs.items()}
 
 
-def ecosystem_graph(data, category: NewsCategory) -> nx.DiGraph:
-    """Figure 8: the domain -> first-platform digraph for one category."""
+def ecosystem_graph(data, category: NewsCategory) -> graphs.EcosystemGraph:
+    """Figure 8: the domain -> first-platform counts for one category."""
     return graphs.build_ecosystem_graph(data.sequence_slices(), category,
                                         data.url_domains())
 

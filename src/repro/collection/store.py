@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -96,25 +96,10 @@ class Dataset:
     def extend(self, records: Iterable[DatasetRecord]) -> None:
         self.records.extend(records)
 
-    def merged_with(self, other: "Dataset") -> "Dataset":
-        return Dataset([*self.records, *other.records])
-
     # -- groupings ----------------------------------------------------------
 
     def filter(self, predicate: Callable[[DatasetRecord], bool]) -> "Dataset":
         return Dataset(r for r in self.records if predicate(r))
-
-    def by_community(self) -> dict[str, list[DatasetRecord]]:
-        grouped: dict[str, list[DatasetRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.community, []).append(record)
-        return grouped
-
-    def by_platform(self) -> dict[str, list[DatasetRecord]]:
-        grouped: dict[str, list[DatasetRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.platform, []).append(record)
-        return grouped
 
     def url_timestamps(self, category: NewsCategory | None = None,
                        ) -> dict[str, list[tuple[float, str]]]:
@@ -136,14 +121,6 @@ class Dataset:
             for occurrence in record.urls:
                 categories.setdefault(occurrence.url, occurrence.category)
         return categories
-
-    def by_author(self) -> dict[str, list[DatasetRecord]]:
-        grouped: dict[str, list[DatasetRecord]] = {}
-        for record in self.records:
-            if record.author_id is None:
-                continue
-            grouped.setdefault(record.author_id, []).append(record)
-        return grouped
 
     def unique_urls(self, category: NewsCategory | None = None) -> set[str]:
         urls: set[str] = set()

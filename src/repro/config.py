@@ -8,7 +8,7 @@ Twitter and 4chan.  The eight Hawkes processes of Section 5 are Twitter,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .timeutil import Interval, utc
 
@@ -84,14 +84,3 @@ class HawkesConfig:
     weight_rate: float = 18.0
     #: Dirichlet concentration of the lag PMF prior.
     impulse_concentration: float = 1.0
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Bundle of all knobs a pipeline run needs."""
-
-    window: Interval = STUDY_WINDOW
-    twitter_gaps: tuple[Interval, ...] = TWITTER_GAPS
-    fourchan_gaps: tuple[Interval, ...] = FOURCHAN_GAPS
-    hawkes: HawkesConfig = field(default_factory=HawkesConfig)
-    selected_subreddits: tuple[str, ...] = SELECTED_SUBREDDITS

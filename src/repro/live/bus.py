@@ -42,10 +42,6 @@ class EventBus:
             raise ValueError(f"duplicate source name {name!r}")
         self._sources.append((name, iter(records)))
 
-    @property
-    def source_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._sources)
-
     def __iter__(self) -> Iterator[DatasetRecord]:
         for _, record in self.events():
             yield record

@@ -156,10 +156,3 @@ class ArticleGenerator:
             published_at=int(published_at),
             article_id=article_id,
         )
-
-    def generate_batch(self, category: NewsCategory, times: list[int],
-                       domain_weights: dict[str, float] | None = None,
-                       ) -> list[Article]:
-        """Create one article per timestamp in ``times``."""
-        return [self.generate(category, t, domain_weights=domain_weights)
-                for t in times]

@@ -277,10 +277,6 @@ class NewsRegistry:
                 return entry
         return None
 
-    def category_of(self, host: str) -> NewsCategory | None:
-        entry = self.lookup(host)
-        return entry.category if entry else None
-
     def of_category(self, category: NewsCategory) -> tuple[NewsDomain, ...]:
         return tuple(d for d in self.domains if d.category == category)
 

@@ -106,7 +106,6 @@ from .metrics import (
     NullRegistry,
     collecting,
     get_registry,
-    merge_snapshots,
     publish_snapshot,
     set_registry,
     snapshot_key,
@@ -139,7 +138,6 @@ __all__ = [
     "TraceSink",
     "collecting",
     "get_registry",
-    "merge_snapshots",
     "publish_snapshot",
     "render_prometheus",
     "render_text",

@@ -332,10 +332,6 @@ class MetricsRegistry:
         return self._instrument("histogram", name, help, labels,
                                 edges=tuple(edges) if edges else None)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._families.clear()
-
     # -- snapshot / merge ----------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -403,14 +399,6 @@ class NullRegistry(MetricsRegistry):
 
 
 NULL_REGISTRY = NullRegistry()
-
-
-def merge_snapshots(*snapshots: dict | None) -> dict:
-    """Merge snapshots into one (associative and commutative)."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge_snapshot(snapshot)
-    return merged.snapshot()
 
 
 # ---------------------------------------------------------------------------

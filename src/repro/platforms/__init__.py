@@ -7,7 +7,7 @@ threads.  The collection layer crawls these objects the way the paper's
 infrastructure crawled the real services.
 """
 
-from .base import Author, Post
+from .base import Post
 from .generic import GenericPlatform
 from .registry import PAPER_ECOSYSTEM, Ecosystem, PlatformSpec, make_ecosystem
 from .twitter import Tweet, TwitterPlatform, TwitterUser
@@ -15,7 +15,6 @@ from .reddit import RedditComment, RedditPlatform, RedditPost, Subreddit
 from .fourchan import FourchanBoard, FourchanPlatform, FourchanPost, FourchanThread
 
 __all__ = [
-    "Author",
     "Ecosystem",
     "GenericPlatform",
     "PAPER_ECOSYSTEM",

@@ -9,16 +9,7 @@ author (``None`` on anonymous 4chan), timestamp, and raw text.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Author:
-    """A pseudonymous account on some platform."""
-
-    author_id: str
-    handle: str
-    is_bot: bool = False
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

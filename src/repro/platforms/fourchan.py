@@ -219,12 +219,6 @@ class FourchanPlatform:
         return sorted(self._live[board_obj.name], key=_bump_time,
                       reverse=True)
 
-    def visible_threads(self, board: str) -> list[FourchanThread]:
-        """Live + archived-but-not-yet-deleted threads (crawler view)."""
-        board_obj = self._require_board(board)
-        return [self.threads[tid] for tid in board_obj.thread_ids
-                if not self.threads[tid].deleted]
-
     def bump_position(self, thread_id: int) -> int | None:
         """Zero-based catalog position, or ``None`` if not live."""
         thread = self.threads.get(thread_id)

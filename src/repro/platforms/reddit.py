@@ -1,22 +1,17 @@
 """A Reddit simulator: subreddits, link posts, threaded comments, votes.
 
 The paper consumes Reddit as posts + comments grouped by subreddit; the
-simulator also implements the "hot" ranking so examples can exercise
-realistic front-page dynamics, and supports bot accounts (allowed on
-Reddit per its API rules, Section 3).
+simulator also supports bot accounts (allowed on Reddit per its API
+rules, Section 3).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .base import IdAllocator, Post
 
 PLATFORM_NAME = "reddit"
-
-#: Epoch used by Reddit's historical hot-ranking formula.
-_HOT_EPOCH = 1134028003
 
 
 @dataclass
@@ -46,14 +41,6 @@ class RedditPost:
     @property
     def score(self) -> int:
         return self.ups - self.downs
-
-    def hot_rank(self) -> float:
-        """Reddit's classic hot score: log-votes plus time decay."""
-        score = self.score
-        order = math.log10(max(abs(score), 1))
-        sign = 1 if score > 0 else -1 if score < 0 else 0
-        seconds = self.created_at - _HOT_EPOCH
-        return round(sign * order + seconds / 45000, 7)
 
     def to_post(self) -> Post:
         text = f"{self.title}\n{self.body}".strip()
@@ -179,27 +166,6 @@ class RedditPlatform:
             item.ups += 1
         else:
             item.downs += 1
-
-    # -- ranking and lookups ---------------------------------------------------
-
-    def hot_posts(self, subreddit: str, limit: int = 25) -> list[RedditPost]:
-        sub = self.subreddits.get(subreddit)
-        if sub is None:
-            raise RedditError(f"unknown subreddit {subreddit!r}")
-        ranked = sorted((self.posts[pid] for pid in sub.post_ids),
-                        key=lambda p: p.hot_rank(), reverse=True)
-        return ranked[:limit]
-
-    def comment_tree(self, post_id: str) -> dict[str, list[RedditComment]]:
-        """Children grouped by parent id, for threaded rendering."""
-        post = self.posts.get(post_id)
-        if post is None:
-            raise RedditError(f"unknown post {post_id!r}")
-        tree: dict[str, list[RedditComment]] = {}
-        for cid in post.comment_ids:
-            comment = self.comments[cid]
-            tree.setdefault(comment.parent_id, []).append(comment)
-        return tree
 
     def record_ambient_posts(self, count: int) -> None:
         if count < 0:

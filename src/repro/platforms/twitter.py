@@ -8,9 +8,9 @@ engagement counts (Table 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .base import Author, IdAllocator, Post
+from .base import IdAllocator, Post
 
 TWEET_MAX_CHARS = 140
 PLATFORM_NAME = "twitter"
@@ -26,10 +26,6 @@ class TwitterUser:
     is_bot: bool = False
     followers: int = 0
     suspended: bool = False
-
-    def as_author(self) -> Author:
-        return Author(author_id=self.user_id, handle=self.handle,
-                      is_bot=self.is_bot)
 
 
 @dataclass

@@ -7,13 +7,12 @@ prints and what EXPERIMENTS.md quotes.
 """
 
 from .tables import render_matrix_cells, render_table
-from .figures import ecdf_series, write_series
+from .figures import write_series
 from .study import generate_study_report
 
 __all__ = [
     "render_matrix_cells",
     "render_table",
-    "ecdf_series",
     "write_series",
     "generate_study_report",
 ]

@@ -10,18 +10,6 @@ import csv
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ..analysis.stats import Ecdf
-
-
-def ecdf_series(ecdf: Ecdf, n_points: int = 64,
-                log_grid: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(x, F(x)) suitable for plotting one CDF curve."""
-    if log_grid:
-        return ecdf.on_log_grid(n_points)
-    return ecdf.steps()
-
 
 def write_series(path: str | Path,
                  columns: Mapping[str, Sequence]) -> Path:

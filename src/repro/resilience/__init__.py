@@ -52,7 +52,7 @@ from .faults import (
     install_worker_faults,
     maybe_inject_worker_fault,
 )
-from .quarantine import Quarantine, count_quarantined
+from .quarantine import Quarantine
 from .retry import (
     RetryPolicy,
     SimulatedWorkerCrash,
@@ -74,7 +74,6 @@ __all__ = [
     "WORKER_FAULTS_ENV",
     "clear_worker_faults",
     "corrupt_object",
-    "count_quarantined",
     "install_worker_faults",
     "maybe_inject_worker_fault",
     "retry_call",

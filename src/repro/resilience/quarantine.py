@@ -111,12 +111,3 @@ class Quarantine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def count_quarantined(path: str | Path) -> int:
-    """Entries in a quarantine sidecar (0 for a missing file)."""
-    path = Path(path)
-    if not path.exists():
-        return 0
-    with path.open("r", encoding="utf-8") as handle:
-        return sum(1 for line in handle if line.strip())

@@ -63,10 +63,6 @@ class RetryPolicy:
         return min(self.backoff_max,
                    self.backoff_base * self.backoff_factor ** retry_index)
 
-    def delays(self) -> tuple[float, ...]:
-        """The full deterministic backoff schedule."""
-        return tuple(self.delay(i) for i in range(self.max_retries))
-
 
 def retry_call(fn: Callable[[], T], *,
                policy: RetryPolicy | None = None,

@@ -92,14 +92,3 @@ def apply_diurnal(events: list[tuple[float, str]],
         reshaped.append((day_start + second, name))
     reshaped.sort()
     return reshaped
-
-
-def hourly_histogram(timestamps, normalize: bool = True) -> np.ndarray:
-    """Observed share of events per UTC hour (for validation)."""
-    counts = np.zeros(24)
-    for t in timestamps:
-        hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-        counts[hour] += 1
-    if normalize and counts.sum():
-        counts = counts / counts.sum()
-    return counts

@@ -143,9 +143,3 @@ class UserPopulation:
     @property
     def bots(self) -> list[UserProfile]:
         return [p for p in self.profiles if p.is_bot]
-
-    def archetype_counts(self) -> dict[UserArchetype, int]:
-        counts = {archetype: 0 for archetype in UserArchetype}
-        for profile in self.profiles:
-            counts[profile.archetype] += 1
-        return counts

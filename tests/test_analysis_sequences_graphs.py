@@ -99,24 +99,23 @@ class TestFigure8Graph:
     def test_graph_structure(self, slices):
         url_domains = {u: "breitbart.com" for u in "abcd"}
         graph = graphs.build_ecosystem_graph(slices, ALT, url_domains)
-        assert graph.nodes["breitbart.com"]["kind"] == "domain"
+        assert list(graph.domains) == ["breitbart.com"]
         # 4 URLs -> domain out-weight 4 split by first platform
-        assert graph["breitbart.com"][PLATFORM_TWITTER]["weight"] == 2
-        assert graph["breitbart.com"][PLATFORM_REDDIT]["weight"] == 1
-        assert graph["breitbart.com"][PLATFORM_POL]["weight"] == 1
+        firsts = graph.domains["breitbart.com"]
+        assert firsts[PLATFORM_TWITTER] == 2
+        assert firsts[PLATFORM_REDDIT] == 1
+        assert firsts[PLATFORM_POL] == 1
 
     def test_first_hop_edges(self, slices):
         url_domains = {u: "breitbart.com" for u in "abcd"}
         graph = graphs.build_ecosystem_graph(slices, ALT, url_domains)
-        assert graph[PLATFORM_TWITTER][PLATFORM_REDDIT]["weight"] == 1
-        assert graph[PLATFORM_REDDIT][PLATFORM_TWITTER]["weight"] == 1
-        assert graph[PLATFORM_POL][PLATFORM_REDDIT]["weight"] == 1
+        assert graph.hops[(PLATFORM_TWITTER, PLATFORM_REDDIT)] == 1
+        assert graph.hops[(PLATFORM_REDDIT, PLATFORM_TWITTER)] == 1
+        assert graph.hops[(PLATFORM_POL, PLATFORM_REDDIT)] == 1
 
     def test_unknown_domain_urls_skipped(self, slices):
         graph = graphs.build_ecosystem_graph(slices, ALT, {})
-        domain_nodes = [n for n, d in graph.nodes(data=True)
-                        if d.get("kind") == "domain"]
-        assert domain_nodes == []
+        assert graph.domains == {}
 
     def test_domain_first_platform_shares(self, slices):
         url_domains = {u: "breitbart.com" for u in "abcd"}
@@ -128,6 +127,22 @@ class TestFigure8Graph:
         assert row.total == 4
         assert row.dominant == PLATFORM_TWITTER
         assert row.shares[PLATFORM_TWITTER] == pytest.approx(0.5)
+
+    def test_tied_totals_keep_first_seen_order(self, slices):
+        # URLs are first seen in the order a, d (/pol/), b (Reddit),
+        # c (Twitter); every domain has one URL, so all totals tie and
+        # the rows keep first-seen order, neither sorted nor reversed.
+        url_domains = {"a": "breitbart.com", "d": "zerohedge.com",
+                       "b": "abc.com", "c": "cnn.com"}
+        graph = graphs.build_ecosystem_graph(slices, ALT, url_domains)
+        assert list(graph.domains) == list(url_domains.values())
+        rows = graphs.domain_first_platform_shares(
+            graph, (PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER))
+        assert [r.domain for r in rows] == list(url_domains.values())
+        assert [r.total for r in rows] == [1, 1, 1, 1]
+        assert [r.dominant for r in rows] == [
+            PLATFORM_TWITTER, PLATFORM_POL, PLATFORM_REDDIT,
+            PLATFORM_TWITTER]
 
     def test_platform_hop_weights(self, slices):
         url_domains = {u: "breitbart.com" for u in "abcd"}

@@ -54,11 +54,6 @@ class TestBasics:
         ds.extend([record("p2"), record("p3")])
         assert len(ds) == 3
 
-    def test_merged_with(self, dataset):
-        merged = dataset.merged_with(Dataset([record("p9")]))
-        assert len(merged) == 5
-        assert len(dataset) == 4  # original untouched
-
     def test_filter(self, dataset):
         twitter = dataset.filter(lambda r: r.platform == "twitter")
         assert len(twitter) == 2
@@ -75,19 +70,6 @@ class TestBasics:
 
 
 class TestGroupings:
-    def test_by_community(self, dataset):
-        grouped = dataset.by_community()
-        assert set(grouped) == {"Twitter", "politics", "/pol/"}
-        assert len(grouped["Twitter"]) == 2
-
-    def test_by_platform(self, dataset):
-        grouped = dataset.by_platform()
-        assert set(grouped) == {"twitter", "reddit", "4chan"}
-
-    def test_by_author_skips_anonymous(self, dataset):
-        grouped = dataset.by_author()
-        assert set(grouped) == {"u1", "u2"}
-
     def test_url_timestamps_sorted(self, dataset):
         stamps = dataset.url_timestamps()
         times = [t for t, _ in stamps["http://breitbart.com/a"]]

@@ -12,7 +12,6 @@ from repro.config import (
     STUDY_END,
     STUDY_START,
     STUDY_WINDOW,
-    StudyConfig,
     TWITTER_GAPS,
 )
 from repro.timeutil import SECONDS_PER_DAY, utc
@@ -85,9 +84,3 @@ class TestHawkesConfig:
         config = HawkesConfig()
         with pytest.raises(AttributeError):
             config.delta_t = 30  # type: ignore[misc]
-
-    def test_study_config_bundle(self):
-        study = StudyConfig()
-        assert study.hawkes.max_lag_bins == 720
-        assert study.window == STUDY_WINDOW
-        assert len(study.selected_subreddits) == 6

@@ -75,9 +75,9 @@ class TestPipelineWorkflows:
         from repro.collection.store import Dataset
         loaded = Dataset.load_jsonl(tmp_path / "tw.jsonl")
         assert len(loaded) == len(collected.twitter)
-        # groupings survive the round trip
-        assert (len(loaded.by_author())
-                == len(collected.twitter.by_author()))
+        # authors survive the round trip
+        assert ({r.author_id for r in loaded}
+                == {r.author_id for r in collected.twitter})
 
     def test_merged_covers_all_platforms(self, collected):
         merged = collected.merged()

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.news import classify
-from repro.news.articles import Article, ArticleGenerator
+from repro.news.articles import ArticleGenerator
 from repro.news.classify import ClassifiedUrl, classify_url, extract_news_urls
 from repro.news.domains import (
     MAINSTREAM_DOMAINS,
@@ -48,8 +48,8 @@ class TestArticleGenerator:
 
     def test_urls_unique_across_batch(self, registry):
         generator = ArticleGenerator(registry, seed=3)
-        articles = generator.generate_batch(
-            NewsCategory.MAINSTREAM, list(range(200)))
+        articles = [generator.generate(NewsCategory.MAINSTREAM, t)
+                    for t in range(200)]
         urls = {a.url for a in articles}
         assert len(urls) == 200
 
@@ -64,9 +64,9 @@ class TestArticleGenerator:
     def test_domain_weights_respected(self, registry):
         generator = ArticleGenerator(registry, seed=4)
         weights = {"breitbart.com": 1.0}
-        articles = generator.generate_batch(
-            NewsCategory.ALTERNATIVE, list(range(50)),
-            domain_weights=weights)
+        articles = [generator.generate(NewsCategory.ALTERNATIVE, t,
+                                       domain_weights=weights)
+                    for t in range(50)]
         assert {a.domain for a in articles} == {"breitbart.com"}
 
     def test_explicit_domain(self, registry):

@@ -83,10 +83,6 @@ class TestLookup:
         assert entry is not None
         assert entry.category == NewsCategory.ALTERNATIVE
 
-    def test_category_of(self, registry):
-        assert registry.category_of("nytimes.com") == NewsCategory.MAINSTREAM
-        assert registry.category_of("nope.example") is None
-
 
 class TestCategorySlices:
     def test_mainstream_property(self, registry):

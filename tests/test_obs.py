@@ -26,7 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     collecting,
     get_registry,
-    merge_snapshots,
     publish_snapshot,
     render_prometheus,
     render_text,
@@ -120,9 +119,17 @@ def _snapshot(counter=0.0, gauge=None, observations=()):
     return registry.snapshot()
 
 
+def _merge(*snapshots):
+    """Fold snapshots into a new registry and snapshot the result."""
+    merged = MetricsRegistry()
+    for snapshot in snapshots:
+        merged.merge_snapshot(snapshot)
+    return merged.snapshot()
+
+
 class TestMerge:
     def test_counters_sum_histograms_add(self):
-        merged = merge_snapshots(
+        merged = _merge(
             _snapshot(counter=2, observations=(0.5, 5.0)),
             _snapshot(counter=3, observations=(20.0,)))
         metrics = merged["metrics"]
@@ -141,17 +148,17 @@ class TestMerge:
         idle.gauge("m_gauge").set(99.0)
         a, b = busy.snapshot(), idle.snapshot()
         for order in ((a, b), (b, a)):
-            merged = merge_snapshots(*order)
+            merged = _merge(*order)
             assert merged["metrics"]["m_gauge"]["samples"][0]["value"] == 1.0
 
     def test_merge_associative_and_commutative(self):
         a = _snapshot(counter=1, gauge=3.0, observations=(0.5,))
         b = _snapshot(counter=2, gauge=7.0, observations=(5.0, 50.0))
         c = _snapshot(counter=4, observations=(2.0,))
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
+        left = _merge(_merge(a, b), c)
+        right = _merge(a, _merge(b, c))
         assert left == right
-        assert merge_snapshots(a, b, c) == merge_snapshots(c, b, a)
+        assert _merge(a, b, c) == _merge(c, b, a)
 
     def test_mismatched_histogram_edges_rejected(self):
         registry = MetricsRegistry()

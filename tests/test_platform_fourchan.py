@@ -118,15 +118,6 @@ class TestEphemerality:
         assert deleted == 1
         assert purged.deleted
 
-    def test_visible_includes_archived_not_deleted(self, chan):
-        threads = [chan.create_thread("pol", f"t{i}", i) for i in range(3)]
-        chan.create_thread("pol", "t3", 100)
-        visible = chan.visible_threads("pol")
-        assert threads[0] in visible  # archived but not yet deleted
-        chan.expire_archives(100 + ARCHIVE_RETENTION)
-        visible = chan.visible_threads("pol")
-        assert threads[0] not in visible
-
     def test_catalog_excludes_purged(self, chan):
         threads = [chan.create_thread("pol", f"t{i}", i) for i in range(3)]
         chan.create_thread("pol", "t3", 100)

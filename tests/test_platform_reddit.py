@@ -71,14 +71,6 @@ class TestComments:
         with pytest.raises(RedditError):
             reddit.submit_comment("ghost", "a", "x", 0)
 
-    def test_comment_tree(self, reddit):
-        post = reddit.submit_post("politics", "a", "T", 0)
-        c1 = reddit.submit_comment(post.post_id, "b", "1", 1)
-        c2 = reddit.submit_comment(c1.comment_id, "c", "2", 2)
-        tree = reddit.comment_tree(post.post_id)
-        assert [c.comment_id for c in tree[post.post_id]] == [c1.comment_id]
-        assert [c.comment_id for c in tree[c1.comment_id]] == [c2.comment_id]
-
 
 class TestVoting:
     def test_upvote_post(self, reddit):
@@ -100,33 +92,6 @@ class TestVoting:
     def test_unknown_item(self, reddit):
         with pytest.raises(RedditError):
             reddit.vote("ghost", 1)
-
-
-class TestHotRanking:
-    def test_newer_beats_older_at_equal_score(self, reddit):
-        old = reddit.submit_post("politics", "a", "old", 1_400_000_000)
-        new = reddit.submit_post("politics", "a", "new", 1_480_000_000)
-        ranked = reddit.hot_posts("politics")
-        assert ranked[0] is new
-        assert ranked[1] is old
-
-    def test_many_votes_can_beat_recency(self, reddit):
-        old = reddit.submit_post("politics", "a", "old", 1_479_990_000)
-        new = reddit.submit_post("politics", "a", "new", 1_480_000_000)
-        # ~3 hours newer is worth 10^(10000/45000) ~ small; give old 10 votes
-        for _ in range(100):
-            reddit.vote(old.post_id, 1)
-        ranked = reddit.hot_posts("politics")
-        assert ranked[0] is old
-
-    def test_limit(self, reddit):
-        for i in range(30):
-            reddit.submit_post("politics", "a", f"t{i}", i)
-        assert len(reddit.hot_posts("politics", limit=10)) == 10
-
-    def test_unknown_subreddit(self, reddit):
-        with pytest.raises(RedditError):
-            reddit.hot_posts("nope")
 
 
 class TestAccounting:

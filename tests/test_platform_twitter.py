@@ -35,11 +35,6 @@ class TestAccounts:
         with pytest.raises(TwitterError):
             twitter.suspend_user("nope")
 
-    def test_author_view(self, user):
-        author = user.as_author()
-        assert author.handle == "alice"
-        assert not author.is_bot
-
 
 class TestTweeting:
     def test_post(self, twitter, user):

@@ -3,10 +3,8 @@
 import csv
 
 import numpy as np
-import pytest
 
-from repro.analysis.stats import Ecdf
-from repro.reporting.figures import ecdf_series, write_series
+from repro.reporting.figures import write_series
 from repro.reporting.tables import render_matrix_cells, render_table
 
 
@@ -50,17 +48,6 @@ class TestRenderMatrix:
 
 
 class TestFigureSeries:
-    def test_ecdf_series_log(self):
-        ecdf = Ecdf([1, 10, 100])
-        xs, ys = ecdf_series(ecdf, n_points=16)
-        assert len(xs) == 16
-        assert ys[-1] == pytest.approx(1.0)
-
-    def test_ecdf_series_steps(self):
-        ecdf = Ecdf([1, 2, 2, 3])
-        xs, ys = ecdf_series(ecdf, log_grid=False)
-        assert list(xs) == [1, 2, 3]
-
     def test_write_series(self, tmp_path):
         path = write_series(tmp_path / "fig" / "out.csv",
                             {"x": [1, 2, 3], "y": [0.1, 0.2]})

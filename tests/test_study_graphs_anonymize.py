@@ -1,9 +1,7 @@
-"""Tests for the study report, graph exports, and anonymization."""
+"""Tests for the study report and anonymization."""
 
-import networkx as nx
 import pytest
 
-from repro.analysis import graphs
 from repro.collection.anonymize import (
     AnonymizationKey,
     anonymize_dataset,
@@ -11,16 +9,9 @@ from repro.collection.anonymize import (
 )
 from repro.collection.store import Dataset, DatasetRecord, UrlOccurrence
 from repro.api import Study
-from repro.config import (
-    HawkesConfig,
-    PLATFORM_POL,
-    PLATFORM_REDDIT,
-    PLATFORM_TWITTER,
-)
+from repro.config import HawkesConfig
 from repro.news.domains import NewsCategory
 from repro.reporting.study import generate_study_report
-
-PLATFORMS = (PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER)
 
 
 class TestStudyReport:
@@ -57,38 +48,6 @@ class TestStudyReport:
         assert "Influence estimation" not in report
 
 
-class TestGraphExports:
-    @pytest.fixture(scope="class")
-    def graph(self, collected):
-        return graphs.build_ecosystem_graph(
-            collected.sequence_slices(), NewsCategory.MAINSTREAM,
-            collected.url_domains())
-
-    def test_graphml_round_trip(self, graph, tmp_path):
-        path = tmp_path / "eco.graphml"
-        graphs.export_graphml(graph, path)
-        loaded = nx.read_graphml(path)
-        assert loaded.number_of_nodes() == graph.number_of_nodes()
-        assert loaded.number_of_edges() == graph.number_of_edges()
-
-    def test_platform_centrality(self, graph):
-        summary = graphs.platform_centrality(graph, PLATFORMS)
-        assert set(summary) <= set(PLATFORMS)
-        for stats in summary.values():
-            assert stats["in_strength"] >= 0
-            assert 0 <= stats["pagerank"] <= 1
-        # platforms receive URLs from domains, so in-strength dominates
-        total_in = sum(s["in_strength"] for s in summary.values())
-        total_out = sum(s["out_strength"] for s in summary.values())
-        assert total_in >= total_out
-
-    def test_centrality_missing_platform(self):
-        graph = nx.DiGraph()
-        graph.add_edge("a", "b", weight=1)
-        summary = graphs.platform_centrality(graph, ("Twitter",))
-        assert summary == {}
-
-
 def record(author, post_id="p1"):
     return DatasetRecord(
         post_id=post_id, platform="twitter", community="Twitter",
@@ -119,7 +78,9 @@ class TestAnonymization:
         dataset = Dataset([record("alice", "p1"), record("alice", "p2"),
                            record("bob", "p3")])
         anonymized, key = anonymize_dataset(dataset)
-        groups = anonymized.by_author()
+        groups: dict[str, list[DatasetRecord]] = {}
+        for rec in anonymized:
+            groups.setdefault(rec.author_id, []).append(rec)
         assert len(groups) == 2
         sizes = sorted(len(v) for v in groups.values())
         assert sizes == [1, 2]

@@ -7,13 +7,15 @@ from repro.config import STUDY_START
 from repro.news.articles import ArticleGenerator
 from repro.news.domains import NewsCategory
 from repro.synthesis.cascades import CascadeEngine
-from repro.synthesis.diurnal import (
-    DiurnalProfile,
-    apply_diurnal,
-    hourly_histogram,
-)
+from repro.synthesis.diurnal import DiurnalProfile, apply_diurnal
 from repro.synthesis.params import GroundTruth
-from repro.timeutil import SECONDS_PER_DAY
+from repro.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR
+
+
+def hourly_shares(timestamps) -> np.ndarray:
+    """Observed share of ``timestamps`` in each UTC hour of the day."""
+    hours = (np.asarray(timestamps) % SECONDS_PER_DAY) // SECONDS_PER_HOUR
+    return np.bincount(hours.astype(int), minlength=24) / len(timestamps)
 
 
 class TestProfile:
@@ -78,7 +80,7 @@ class TestApplyDiurnal:
         profile = DiurnalProfile(hourly=hourly)
         events = [(float(i * 9973), "x") for i in range(4000)]
         reshaped = apply_diurnal(events, rng, profile, keep_first=False)
-        histogram = hourly_histogram([t for t, _ in reshaped])
+        histogram = hourly_shares([t for t, _ in reshaped])
         assert histogram[[20, 21, 22]].sum() > 0.5
 
 
@@ -93,7 +95,7 @@ class TestEngineIntegration:
                 NewsCategory.MAINSTREAM, STUDY_START + i * 7200)
             cascade = engine.generate(article)
             timestamps.extend(t for t, _ in cascade.events)
-        histogram = hourly_histogram(timestamps)
+        histogram = hourly_shares(timestamps)
         # default profile: deep night (07-10 UTC) well below evening
         night = histogram[7:10].mean()
         evening = histogram[[22, 23, 0]].mean()

@@ -1,5 +1,7 @@
 """Tests for synthetic user populations."""
 
+from collections import Counter
+
 import pytest
 
 from repro.synthesis.users import (
@@ -34,8 +36,8 @@ class TestPopulation:
         assert len(population.profiles) == 3000
 
     def test_archetype_mix(self, population):
-        counts = population.archetype_counts()
-        total = sum(counts.values())
+        counts = Counter(p.archetype for p in population.profiles)
+        total = len(population.profiles)
         main_frac = counts[UserArchetype.MAINSTREAM_ONLY] / total
         alt_frac = counts[UserArchetype.ALTERNATIVE_ONLY] / total
         assert main_frac == pytest.approx(0.80, abs=0.03)
