@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,8 @@ def ks_two_sample(a, b) -> KsResult:
     b = np.asarray(b, dtype=np.float64)
     if not len(a) or not len(b):
         raise ValueError("both samples must be non-empty")
-    result = _scipy_stats.ks_2samp(a, b)
+    from scipy import stats
+    result = stats.ks_2samp(a, b)
     return KsResult(statistic=float(result.statistic),
                     pvalue=float(result.pvalue))
 
@@ -71,11 +71,6 @@ class Ecdf:
     def median(self) -> float:
         return self.quantile(0.5)
 
-    def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, F(x)) step coordinates for plotting/serialization."""
-        unique, counts = np.unique(self.values, return_counts=True)
-        return unique, np.cumsum(counts) / self.n
-
     def on_log_grid(self, n_points: int = 64,
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Resample onto a log-spaced grid (matches the paper's axes)."""
@@ -88,29 +83,6 @@ class Ecdf:
         else:
             grid = np.geomspace(lo, hi, n_points)
         return grid, np.asarray(self(grid))
-
-    def crossing(self, other: "Ecdf",
-                 n_points: int = 512) -> float | None:
-        """Approximate x where this ECDF crosses ``other`` (both positive).
-
-        Used for the Figure 7 "cross point" between A->B and B->A delay
-        distributions.  Returns ``None`` when one curve dominates.
-        """
-        lo = max(self.values.min(), other.values.min())
-        hi = min(self.values.max(), other.values.max())
-        if not (lo > 0 and hi > lo):
-            return None
-        grid = np.geomspace(lo, hi, n_points)
-        diff = np.asarray(self(grid)) - np.asarray(other(grid))
-        signs = np.sign(diff)
-        nonzero = signs != 0
-        if not nonzero.any():
-            return None
-        flips = np.where(np.diff(signs[nonzero]) != 0)[0]
-        if not len(flips):
-            return None
-        idx_nonzero = np.where(nonzero)[0]
-        return float(grid[idx_nonzero[flips[0] + 1]])
 
 
 def summarize(sample) -> dict[str, float]:

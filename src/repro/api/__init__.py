@@ -18,6 +18,7 @@ upstream, so a changed knob invalidates exactly the cone below it::
     world (WorldConfig)
       └── data (collect; stream_seed)
             ├── table:1 .. table:10        (paper Tables 1-10)
+            ├── overview                   (report counts, Figures 3, 5)
             └── cascades
                   └── corpus (gaps, trim_fraction, max_urls)
                         └── fits (HawkesConfig, method, fit_seed)
@@ -25,9 +26,10 @@ upstream, so a changed knob invalidates exactly the cone below it::
                               ├── aggregate   (Figure 10)
                               └── summary     (Table 11 rates)
 
-:meth:`Study.report` is not a stage: it renders ``table:2`` and
-``table:5`` .. ``table:10``, the corpus, ``fits`` and ``aggregate``
-(plus a few data-level lines), so a warm report computes nothing.
+:meth:`Study.report` is not a stage: it renders ``overview``,
+``table:2`` and ``table:5`` .. ``table:10``, the corpus, ``fits`` and
+``aggregate``, so a warm report computes nothing and never loads
+``world`` or ``data``.
 
 ``n_jobs`` is deliberately absent from every key: the parallel layer
 guarantees bit-identical results for any worker count, so it is an

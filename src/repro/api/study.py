@@ -47,6 +47,7 @@ from ..core.influence import (
 )
 from ..news.domains import NewsCategory
 from ..parallel.seeding import SeedLike, as_seed_sequence
+from ..reporting.study import ReportOverview, report_overview
 from ..synthesis.world import World, WorldConfig, build_world
 from ..timeutil import Interval
 from .store import MISSING, SCHEMA_VERSION, ArtifactStore, digest
@@ -223,6 +224,8 @@ class Study:
             "data": _Stage(("world",),
                            lambda s: {"stream_seed": s.stream_seed},
                            Study._compute_data),
+            "overview": _Stage(("data",), _no_params,
+                               lambda s: report_overview(s._value("data"))),
             "cascades": _Stage(("data",), _no_params,
                                Study._compute_cascades),
             "corpus": _Stage(("cascades",),
@@ -352,6 +355,10 @@ class Study:
         """The collected datasets (a :class:`~repro.pipeline.CollectedData`)."""
         return self._value("data")
 
+    def overview(self) -> ReportOverview:
+        """The record counts and Figure 3 and 5 lines of the report."""
+        return self._value("overview")
+
     @property
     def cascades(self) -> list[UrlCascade]:
         return self._value("cascades")
@@ -387,6 +394,8 @@ class Study:
 
     def report(self, include_influence: bool = True) -> str:
         """The full markdown study report, rendered from stage artifacts."""
+        # Looked up per call, so a wrapper installed on the module
+        # (tracing does this) sees every render.
         from ..reporting.study import generate_study_report
         return generate_study_report(self,
                                      include_influence=include_influence)

@@ -28,11 +28,6 @@ class AnonymizationKey:
     def generate(cls) -> "AnonymizationKey":
         return cls(key=secrets.token_bytes(32))
 
-    @classmethod
-    def from_passphrase(cls, passphrase: str) -> "AnonymizationKey":
-        digest = hashlib.sha256(passphrase.encode("utf-8")).digest()
-        return cls(key=digest)
-
     def pseudonym(self, author_id: str, length: int = 16) -> str:
         mac = hmac.new(self.key, author_id.encode("utf-8"),
                        hashlib.sha256)

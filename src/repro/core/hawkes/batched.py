@@ -77,7 +77,6 @@ from time import perf_counter
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from ...obs import DEFAULT_COUNT_BUCKETS, DEFAULT_DELTA_BUCKETS, get_registry
 from ..events import DiscreteEvents
@@ -355,6 +354,7 @@ class BatchedParentStructure(BucketKernels):
     @cached_property
     def _log_factorials(self) -> np.ndarray:
         """``log(s!)`` of every entry's count."""
+        from scipy.special import gammaln
         return gammaln(self.packed.counts + 1.0)
 
     def log_likelihood(self, background: np.ndarray, weights: np.ndarray,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..events import DiscreteEvents
 from .basis import LagBasis
@@ -214,7 +213,8 @@ def residual_uniformity(params: HawkesParams, events: DiscreteEvents,
     residuals = np.concatenate(parts) if parts else np.empty(0)
     if len(residuals) < 5:
         return 1.0
-    result = _scipy_stats.kstest(residuals, "uniform")
+    from scipy import stats
+    result = stats.kstest(residuals, "uniform")
     return float(result.pvalue)
 
 
@@ -238,7 +238,8 @@ class CalibrationRanks:
     def chi_square_pvalue(self) -> float:
         """Chi-square p-value of the pooled rank histogram against the
         discrete uniform law a calibrated sampler produces."""
-        return float(_scipy_stats.chisquare(self.histogram()).pvalue)
+        from scipy import stats
+        return float(stats.chisquare(self.histogram()).pvalue)
 
 
 def sbc_ranks(basis: LagBasis, n_processes: int, n_bins: int,

@@ -58,6 +58,10 @@ class HawkesParams:
             raise ValueError(f"impulse must be ({k}, {k}, D)")
         if np.any(self.background < 0) or np.any(self.weights < 0):
             raise ValueError("rates and weights must be non-negative")
+        self._check_impulse()
+
+    def _check_impulse(self) -> None:
+        """Raise unless every ``impulse[i, j]`` is a PMF over lags."""
         if np.any(self.impulse < -_PMF_TOL):
             raise ValueError("impulse PMFs must be non-negative")
         sums = self.impulse.sum(axis=2)

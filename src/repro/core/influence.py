@@ -13,7 +13,6 @@ from functools import partial
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..config import (
     HAWKES_PROCESSES,
@@ -80,9 +79,6 @@ class UrlCascade:
     @property
     def duration(self) -> float:
         return self.last_time - self.first_time
-
-    def processes_present(self) -> frozenset[str]:
-        return frozenset(name for _, name in self.events)
 
     def overlaps_gaps(self, gaps: Sequence[Interval]) -> bool:
         """True if any event of this cascade falls on a gap day."""
@@ -353,11 +349,12 @@ def aggregate_weights(result: InfluenceResult) -> WeightAggregate:
     # JSON payload) see one well-defined "undefined" marker instead of
     # formatting artifacts like "+inf%".
     pct[~np.isfinite(pct)] = np.nan
+    from scipy import stats
     k = len(result.processes)
     pvalues = np.ones((k, k))
     for i in range(k):
         for j in range(k):
-            stat = _scipy_stats.ks_2samp(alt[:, i, j], main[:, i, j])
+            stat = stats.ks_2samp(alt[:, i, j], main[:, i, j])
             pvalues[i, j] = stat.pvalue
     return WeightAggregate(
         processes=result.processes,

@@ -36,7 +36,6 @@ class RedditPost:
     body: str = ""
     ups: int = 1
     downs: int = 0
-    comment_ids: list[str] = field(default_factory=list)
 
     @property
     def score(self) -> int:
@@ -151,7 +150,6 @@ class RedditPlatform:
             body=body,
         )
         self.comments[comment.comment_id] = comment
-        post.comment_ids.append(comment.comment_id)
         return comment
 
     def vote(self, item_id: str, direction: int) -> None:

@@ -4,13 +4,16 @@
 overview, characterization, temporal dynamics, sequences, influence —
 and renders a single markdown report (also available as ``python -m
 repro report``).  It is a pure rendering of the session's stage
-artifacts: the table stages supply Tables 2 and 5-10, and the corpus,
-``fits`` and ``aggregate`` stages the Section 5 lines.  Only the
-header record counts and the Figure 3 and 5 lines read the collected
-data directly.
+artifacts: the ``overview`` stage (:func:`report_overview`) supplies
+the header record counts and the Figure 3 and 5 lines, the table
+stages Tables 2 and 5-10, and the corpus, ``fits`` and ``aggregate``
+stages the Section 5 lines.  A warm render therefore never loads the
+collected data.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +46,62 @@ def _section_domains(rankings) -> str:
     return "\n".join(parts)
 
 
-def _section_users(data) -> str:
-    parts = ["## Per-user behavior (Figure 3)\n"]
+@dataclass(frozen=True)
+class ReportOverview:
+    """What the report reads of the collected data (the ``overview`` stage)."""
+
+    #: ``(count, process)`` header record counts: Twitter, Reddit and
+    #: 4chan, then the scenario's extra platforms.
+    records: tuple[tuple[int, str], ...]
+    #: ``(slice, n_users, pct_mainstream_only, pct_alternative_only)``
+    #: Figure 3 lines.
+    users: tuple[tuple[str, int, float, float], ...]
+    #: ``(slice, median_hours, fraction_within_24h)`` Figure 5 lines of
+    #: the slices with at least one mainstream repost.
+    repost_lags: tuple[tuple[str, float, float], ...]
+
+
+def report_overview(data) -> ReportOverview:
+    """Reduce collected data to the few numbers the report renders."""
+    records = ((len(data.twitter), "Twitter"), (len(data.reddit), "Reddit"),
+               (len(data.fourchan), "4chan"),
+               *((len(dataset), process)
+                 for process, dataset in data.extra_slices().items()))
+    users = []
     for name, dataset in (("Twitter", data.twitter),
                           ("six subreddits", data.reddit_six)):
         fractions = chz.user_alternative_fraction(dataset)
-        parts.append(
-            f"- {name}: {fractions.n_users} users with news URLs; "
-            f"{fractions.pct_mainstream_only:.1f}% mainstream-only, "
-            f"{fractions.pct_alternative_only:.1f}% alternative-only")
-    return "\n".join(parts) + "\n"
-
-
-def _section_temporal(data, table8) -> str:
-    parts = ["## Temporal dynamics (Figures 5-7, Table 8)\n"]
+        users.append((name, fractions.n_users,
+                      fractions.pct_mainstream_only,
+                      fractions.pct_alternative_only))
+    lags = []
     for name, dataset in (("Twitter", data.twitter),
                           ("six subreddits", data.reddit_six),
                           ("/pol/", data.pol)):
         ecdf = temporal.repost_lag_cdf(dataset, MAIN)
         if ecdf is not None:
-            parts.append(
-                f"- {name}: median repost lag {ecdf.median:.1f} h, "
-                f"{100 * temporal.repost_lag_day_inflection(ecdf):.0f}% "
-                "of reposts within 24 h")
+            lags.append((name, ecdf.median,
+                         temporal.repost_lag_day_inflection(ecdf)))
+    return ReportOverview(records=records, users=tuple(users),
+                          repost_lags=tuple(lags))
+
+
+def _section_users(overview: ReportOverview) -> str:
+    parts = ["## Per-user behavior (Figure 3)\n"]
+    for name, n_users, pct_main, pct_alt in overview.users:
+        parts.append(
+            f"- {name}: {n_users} users with news URLs; "
+            f"{pct_main:.1f}% mainstream-only, "
+            f"{pct_alt:.1f}% alternative-only")
+    return "\n".join(parts) + "\n"
+
+
+def _section_temporal(overview: ReportOverview, table8) -> str:
+    parts = ["## Temporal dynamics (Figures 5-7, Table 8)\n"]
+    for name, median, within_day in overview.repost_lags:
+        parts.append(
+            f"- {name}: median repost lag {median:.1f} h, "
+            f"{100 * within_day:.0f}% of reposts within 24 h")
     table = render_table(table8.columns, table8.rows)
     parts.append(f"\n```\n{table}\n```\n")
     return "\n".join(parts)
@@ -137,21 +173,19 @@ def _section_influence(n_urls: int, result, aggregate) -> str:
 
 def generate_study_report(study, include_influence: bool = True) -> str:
     """Render the full report from a :class:`~repro.api.Study`'s stages."""
-    data = study.data
-    extra_counts = "".join(
-        f", {len(dataset)} {process}"
-        for process, dataset in data.extra_slices().items())
+    overview = study.overview()
+    records = ", ".join(f"{count} {process}"
+                        for count, process in overview.records)
     sections = [
         "# Web Centipede study report\n",
         f"Window: {STUDY_START} .. {STUDY_END} (epoch seconds); "
-        f"records: {len(data.twitter)} Twitter, {len(data.reddit)} "
-        f"Reddit, {len(data.fourchan)} 4chan{extra_counts}.\n",
+        f"records: {records}.\n",
         _section_overview(study.table(2)),
         _section_domains((("Twitter", study.table(6)),
                           ("six subreddits", study.table(5)),
                           ("/pol/", study.table(7)))),
-        _section_users(data),
-        _section_temporal(data, study.table(8)),
+        _section_users(overview),
+        _section_temporal(overview, study.table(8)),
         _section_sequences(study.table(9), study.table(10)),
     ]
     if include_influence:

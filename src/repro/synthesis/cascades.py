@@ -52,8 +52,13 @@ class StoryCascade:
     def url(self) -> str:
         return self.article.url
 
-    def processes_present(self) -> frozenset[str]:
-        return frozenset(name for _, name in self.events)
+
+class _StoryParams(HawkesParams):
+    """One viral story's parameters around the engine's shared impulse,
+    which :class:`CascadeEngine` validates once when it is built."""
+
+    def _check_impulse(self) -> None:
+        pass
 
 
 class CascadeEngine:
@@ -66,6 +71,10 @@ class CascadeEngine:
         self.rng = rng
         self.study_end = study_end
         self._impulse = ground_truth.impulse()
+        # Every viral story shares this impulse: validate it once here.
+        HawkesParams(background=ground_truth.background(False),
+                     weights=ground_truth.weights(False),
+                     impulse=self._impulse)
         self._lags = LagSampler(self._impulse)
         self._diurnal = (DiurnalProfile()
                          if ground_truth.diurnal_enabled else None)
@@ -158,7 +167,7 @@ class CascadeEngine:
         window = self._draw_window_minutes()
         virality = virality_boost * self.rng.lognormal(
             truth.virality_log_mean, truth.virality_log_sigma)
-        params = HawkesParams(
+        params = _StoryParams(
             background=(truth.background(article.is_alternative)
                         * virality * self._flavor_boost(flavor)),
             weights=truth.weights(article.is_alternative),

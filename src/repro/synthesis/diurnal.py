@@ -61,11 +61,6 @@ class DiurnalProfile:
             0, SECONDS_PER_HOUR, size=n)
         return seconds if size is not None else seconds[0]
 
-    def multiplier(self, epoch: float) -> float:
-        """Relative activity at ``epoch`` (mean 1 over a day)."""
-        hour = int((epoch % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-        return float(self.hourly[hour] / self.hourly.mean())
-
 
 def apply_diurnal(events: list[tuple[float, str]],
                   rng: np.random.Generator,

@@ -41,13 +41,6 @@ class TestEcdf:
         with pytest.raises(ValueError):
             Ecdf(np.ones((2, 2)))
 
-    def test_steps(self):
-        ecdf = Ecdf([1, 1, 2])
-        xs, ys = ecdf.steps()
-        assert list(xs) == [1, 2]
-        assert ys[0] == pytest.approx(2 / 3)
-        assert ys[1] == pytest.approx(1.0)
-
     def test_log_grid(self):
         ecdf = Ecdf([1, 10, 100, 1000])
         xs, ys = ecdf.on_log_grid(n_points=10)
@@ -59,19 +52,6 @@ class TestEcdf:
     def test_log_grid_needs_positive(self):
         with pytest.raises(ValueError):
             Ecdf([-1, -2]).on_log_grid()
-
-    def test_crossing_detected(self):
-        # a sits mostly below 10, b mostly above: CDFs cross in between.
-        a = Ecdf([1, 2, 3, 50, 60, 70])
-        b = Ecdf([5, 6, 7, 8, 9, 100])
-        crossing = a.crossing(b)
-        assert crossing is not None
-        assert 3 < crossing < 100
-
-    def test_crossing_none_when_dominated(self):
-        a = Ecdf([1, 2, 3])
-        b = Ecdf([10, 20, 30])
-        assert a.crossing(b) is None
 
 
 class TestKs:

@@ -29,6 +29,30 @@ TINY_KWARGS = dict(seed=5, n_stories_alternative=40,
                    n_stories_mainstream=100, n_twitter_users=60,
                    n_reddit_users=50, n_generic_subreddits=10)
 
+#: Stage keys of ``Study(seed=3)``.  A cache filled by an earlier
+#: version stays valid only while every existing key stays put, so a
+#: new stage must add its own key and leave these unchanged.
+PINNED_KEYS = {
+    "world": "e6104eeab7b099a0520b5e7a7cf0e6fe909687913702b86585de1f5b55843832",
+    "data": "e74114806357005c3e4003e821fd5373e71ca37d6fc2cbc67484023137a43b38",
+    "cascades": "6a566422d424f9741fec369364d6abc2d8deb4e44f8eccfda4dcd792ca26c691",
+    "corpus": "65db4b29a7856106518b94e934c95663d165d7add5d5afea0971f58856bed7b4",
+    "fits": "b1a6b8076e4b5869dfe2f9cb3c83c82313e0b891e7c9d5d6980767d51138d68e",
+    "aggregate": "0203ec678d514eec51be811fd0b31a45ee6b2ace5bed418c7bbb3fccdba80015",
+    "summary": "158e4c7438d6ac59a34036051193ebe71df808584348ad8bf86df5fb77765e8f",
+    "table:1": "e8e19056aace9834dbbb31b14a5850485f9e91aa9aea362d790f61c033940bcd",
+    "table:2": "85b6e78dd98cc752d519702bd955761fa9b348055ebf877f1c81c8878cbe2f8b",
+    "table:3": "fce132301db1a605c550dcda5cb21197314a796fbeed49ff0b473aec174721c0",
+    "table:4": "bb7cbe2f1caf5ef8cadb1bae27f7d419241abc5fb7ad587d8dc094364b697e2f",
+    "table:5": "e085739dab44388d88796a577255ae9f175e806efc480a574509f57c159ba609",
+    "table:6": "e648486638d8dc6da9bff906ef0279836005fb3ea132299fd2c159543c9ad1a1",
+    "table:7": "684fd611c837026ac9ef7825a0429013e889f625eca1704504ec8adc64eed04d",
+    "table:8": "4334e728a91889492df68075cd86c57517b7e80d521a43b3913f910174448ac7",
+    "table:9": "2adaee3b56bcae93b9edc8a90f136ac17e80774ecdd64c65ecb8ef89e4ba747d",
+    "table:10": "03fd146603df580fcbdcd73cda7e2377cc3e20c9e70a853bb2fa3ddb3d6ce176",
+    "table:11": "653de6268587a4963e67e6965c71afdc2a486775cd556d106e1b3ba34b8a5fd8",
+}
+
 
 @pytest.fixture(scope="module")
 def api_study(collected):
@@ -98,6 +122,10 @@ class TestStageKeys:
         keys = study.keys()
         assert set(keys) == set(study.stage_names())
         assert all(len(k) == 64 for k in keys.values())
+
+    def test_existing_keys_are_pinned(self):
+        keys = Study(seed=3).keys()
+        assert {name: keys[name] for name in PINNED_KEYS} == PINNED_KEYS
 
     def test_same_config_same_keys(self):
         assert Study(seed=3).keys() == Study(seed=3).keys()
@@ -191,6 +219,29 @@ class TestWarmCache:
         assert warm.report() == text
         assert warm.stats["computed"] == 0
         assert warm.store.stats()["hit_ratio"] == 1.0
+
+    def test_warm_report_never_loads_world_or_data(self, tmp_path,
+                                                   monkeypatch):
+        config = WorldConfig(**TINY_KWARGS)
+        kwargs = dict(hawkes=GOLDEN_HAWKES, fit_seed=5, max_urls=12,
+                      n_jobs=1, cache_dir=tmp_path / "cache")
+        cold = Study(config, **kwargs)
+        text = cold.report()
+        cold.aggregate()  # raises unless the render used every stage
+        warm = Study(config, **kwargs)
+        asked = []
+        get = warm.store.get
+
+        def recording_get(key, *args):
+            asked.append(key)
+            return get(key, *args)
+
+        monkeypatch.setattr(warm.store, "get", recording_get)
+        assert warm.report() == text
+        assert warm.stats["computed"] == 0
+        assert warm.stage_key("overview") in asked
+        assert warm.stage_key("world") not in asked
+        assert warm.stage_key("data") not in asked
 
     def test_shared_store_object(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")

@@ -157,7 +157,7 @@ def test_refit_window_selects_settled_cascades(live_engine):
     assert all(c.last_time <= last - 1.0 for c in window)
     eligible = select_urls(window)
     for cascade in eligible:
-        present = cascade.processes_present()
+        present = {name for _, name in cascade.events}
         assert "Twitter" in present and "/pol/" in present
 
 

@@ -135,7 +135,7 @@ class TestInfluencePipeline:
 
     def test_selected_have_required_platforms(self, corpus):
         for cascade in corpus:
-            present = cascade.processes_present()
+            present = {name for _, name in cascade.events}
             assert "Twitter" in present
             assert "/pol/" in present
             assert present & set(SELECTED_SUBREDDITS)

@@ -58,13 +58,13 @@ def record(author, post_id="p1"):
 
 class TestAnonymization:
     def test_pseudonym_stable_under_key(self):
-        key = AnonymizationKey.from_passphrase("s3cret")
+        key = AnonymizationKey(key=b"s3cret")
         assert key.pseudonym("alice") == key.pseudonym("alice")
         assert key.pseudonym("alice") != key.pseudonym("bob")
 
     def test_different_keys_unlinkable(self):
-        a = AnonymizationKey.from_passphrase("one")
-        b = AnonymizationKey.from_passphrase("two")
+        a = AnonymizationKey(key=b"one")
+        b = AnonymizationKey(key=b"two")
         assert a.pseudonym("alice") != b.pseudonym("alice")
 
     def test_anonymous_record_unchanged(self):

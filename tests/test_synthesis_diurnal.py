@@ -42,11 +42,6 @@ class TestProfile:
         hours = (seconds // 3600).astype(int)
         assert (hours == 12).mean() > 0.95
 
-    def test_multiplier_mean_one(self):
-        profile = DiurnalProfile()
-        values = [profile.multiplier(h * 3600.0) for h in range(24)]
-        assert np.mean(values) == pytest.approx(1.0)
-
 
 class TestApplyDiurnal:
     def test_preserves_count_and_days(self, rng):

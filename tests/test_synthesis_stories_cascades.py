@@ -110,13 +110,19 @@ class TestCascadeEngine:
         for i in range(120):
             article = article_gen.generate(NewsCategory.MAINSTREAM,
                                            STUDY_START + i * 3600)
-            viral_platforms.append(
-                len(engine.generate(article, viral=True)
-                    .processes_present()))
-            local_platforms.append(
-                len(engine.generate(article, viral=False)
-                    .processes_present()))
+            for viral, counts in ((True, viral_platforms),
+                                  (False, local_platforms)):
+                cascade = engine.generate(article, viral=viral)
+                counts.append(len({name for _, name in cascade.events}))
         assert np.mean(viral_platforms) > np.mean(local_platforms)
+
+    def test_bad_impulse_rejected_when_engine_is_built(self):
+        class Unnormalized(type(default_ground_truth())):
+            def impulse(self):
+                return 2.0 * super().impulse()
+
+        with pytest.raises(ValueError, match="sum to 1"):
+            CascadeEngine(Unnormalized(), np.random.default_rng(0))
 
     def test_pick_local_home_distribution(self):
         engine = CascadeEngine(default_ground_truth(),
