@@ -12,11 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from ..core.influence import InfluenceResult, aggregate_weights
+from ..core.influence import (
+    InfluenceResult,
+    WeightAggregate,
+    aggregate_weights,
+)
 from ..news.domains import NewsCategory
 from ..claims import BENCH_FILE, EXPERIMENTS, Experiment
 
@@ -112,12 +116,17 @@ def scenarios_payload(scenarios=None) -> dict:
 # Influence payloads (GET /influence and live publishing)
 # ---------------------------------------------------------------------------
 
-def influence_payload(result: InfluenceResult) -> dict:
+def influence_payload(
+        result: InfluenceResult,
+        aggregate: Callable[[], WeightAggregate] | None = None) -> dict:
     """Everything Figures 10-11 report, as one JSON-ready payload.
 
     Used identically for batch fits (the Study `fits` stage) and the
     live engine's windowed refits, so the service serves both through
-    one code path.
+    one code path.  ``aggregate`` returns the Figure 10 aggregation of
+    ``result``: the service passes the Study's cached ``aggregate``
+    stage, so its 64 KS tests run once per fits key; by default it is
+    computed here with :func:`aggregate_weights`.
     """
     from ..core.influence import influence_percentages
 
@@ -135,12 +144,13 @@ def influence_payload(result: InfluenceResult) -> dict:
     percent_change = None
     significant_cells = None
     try:
-        aggregate = aggregate_weights(result)
+        weights = (aggregate() if aggregate is not None
+                   else aggregate_weights(result))
     except ValueError:
         pass  # one category empty: means stay per-category, no contrast
     else:
-        percent_change = aggregate.percent_change.tolist()
-        significant_cells = int((aggregate.significance_stars() != "").sum())
+        percent_change = weights.percent_change.tolist()
+        significant_cells = int((weights.significance_stars() != "").sum())
     return clean({
         "processes": list(result.processes),
         "n_urls": {category.value: len(result.of_category(category))

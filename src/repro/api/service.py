@@ -22,15 +22,31 @@ artifact's content key (a pure hash — conditional requests never
 compute anything), and ``If-None-Match`` hits return ``304`` with no
 body.  Rendered response bytes are cached per ETag, so repeated warm
 queries are dictionary lookups that never touch NumPy.
+
+The HTTP layer is kept lean, since on a warm hit it costs more than
+the service's own work.  The request line follows the stdlib's rules.
+Header fields are read by a plain line loop, not the stdlib's ``email``
+parser, and must be RFC 9112 section 5 field lines: a line with no
+colon, whitespace before the colon, obs-fold (a leading space or tab)
+or a bare CR, NUL or other control character is answered ``400``, and
+the stdlib's limits still give ``431`` (a line over 65,536 bytes, or
+100 or more header fields).  Each response head is
+formatted once, with a ``Date`` formatted once per second, and leaves
+with its body in one write.  Once :meth:`StudyService.drain` has begun,
+responses carry ``Connection: close``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import re
 import threading
 from collections import OrderedDict
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
+from time import perf_counter, time
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
@@ -46,7 +62,6 @@ from .serialize import (
     experiments_payload,
     filter_influence,
     influence_payload,
-    payload_key,
     scenarios_payload,
 )
 from .study import Study
@@ -86,6 +101,11 @@ _STALE_WARNING = ("Warning", '110 repro-serve "Response is Stale"')
 
 def _error(status: int, message: str) -> _Response:
     return _Response(status, None, canonical_bytes({"error": message}))
+
+
+def _body_etag(body: bytes) -> str:
+    """Quoted ETag of canonical JSON bytes: the payload's ``payload_key``."""
+    return f'"{hashlib.sha256(body).hexdigest()}"'
 
 
 def _etag_matches(etag: str, if_none_match: str | None) -> bool:
@@ -129,7 +149,7 @@ class StudyService:
         self._draining = False
         self._version = _package_version()
         self._experiments_body = canonical_bytes(experiments_payload())
-        self._experiments_etag = f'"{payload_key(experiments_payload())}"'
+        self._experiments_etag = _body_etag(self._experiments_body)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -153,9 +173,10 @@ class StudyService:
     def drain(self, timeout: float = 10.0) -> bool:
         """Graceful shutdown: stop accepting, finish in-flight, close.
 
-        Marks the service as draining (responses start carrying
-        ``Connection: close`` so keep-alive clients release their
-        sockets), stops the accept loop, waits up to ``timeout``
+        Marks the service as draining (responses written from then on
+        carry ``Connection: close``, and the handler closes the socket
+        after them, so keep-alive clients release their sockets), stops
+        the accept loop, waits up to ``timeout``
         seconds for in-flight requests to finish, then closes the
         listening socket.  Returns ``True`` if everything drained in
         time.
@@ -223,7 +244,7 @@ class StudyService:
                              self._experiments_body)
         if path in ("/scenarios", "/scenarios/"):
             body = canonical_bytes(scenarios_payload())
-            etag = f'"{payload_key(scenarios_payload())}"'
+            etag = _body_etag(body)
             if _etag_matches(etag.strip('"'), _strip_quotes(if_none_match)):
                 return _Response(304, etag, b"")
             return _Response(200, etag, body)
@@ -348,7 +369,8 @@ class StudyService:
             load: Callable[[], dict] = lambda: self.study.store.get(key)
         elif view == "batch":
             key = self.study.stage_key("fits")
-            load = lambda: influence_payload(self.study.influence())
+            load = lambda: influence_payload(self.study.influence(),
+                                             self.study.aggregate)
         else:
             return _error(400, f"unknown view {view!r}")
         etag = f'"{key}:{view}:{category}:{source}:{destination}"'
@@ -402,6 +424,36 @@ def _package_version() -> str:
     return __version__
 
 
+#: The stdlib's request-head limits (``http.client``): a line of more
+#: than 65,536 bytes, or a 101st line counting the blank line that ends
+#: the head, is answered 431.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: One RFC 9112 section 5 field line: a token name, the colon right
+#: after it, optional leading whitespace, and a value of visible
+#: characters, obs-text, SP and HTAB up to the line ending.  Anything
+#: else (no colon, whitespace before the colon, obs-fold, a bare CR,
+#: NUL or another control character) does not match and gets a 400.
+_FIELD_LINE = re.compile(
+    rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\x00-\x08\x0a-\x1f\x7f]*)"
+    rb"\r?\n?")
+_END_OF_HEAD = (b"\r\n", b"\n", b"")
+
+_date_cache: tuple[int, str] = (-1, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` value for now, formatted once per whole second."""
+    global _date_cache
+    now = int(time())
+    second, text = _date_cache
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date_cache = (now, text)
+    return text
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"  # keep-alive; every reply is length-framed
@@ -409,6 +461,101 @@ class _Handler(BaseHTTPRequestHandler):
     # and no Nagle wait on the body write (40 ms/req otherwise).
     wbufsize = -1
     disable_nagle_algorithm = True
+    _server_line = (f"Server: {server_version} "
+                    f"{BaseHTTPRequestHandler.sys_version}\r\n")
+
+    def parse_request(self) -> bool:
+        """Parse the request line and the header fields.
+
+        The request line follows the stdlib's rules exactly.  The header
+        fields are read by a line loop instead of the stdlib's ``email``
+        parser, under the same limits, into the same ``HTTPMessage``;
+        a line that is not an RFC 9112 field line gets a 400.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                if (len(version_number) != 2
+                        or not all(part.isdigit() for part in version_number)
+                        or any(len(part) > 10 for part in version_number)):
+                    raise ValueError
+                major, minor = int(version_number[0]), int(version_number[1])
+            except (ValueError, IndexError):
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            if (major, minor) >= (1, 1):
+                self.close_connection = False
+            if major >= 2:
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({base_version_number})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command, self.path = command, path
+        if path.startswith("//"):  # gh-87389: no scheme-relative paths
+            self.path = "/" + path.lstrip("/")
+
+        headers = self.MessageClass()
+        readline = self.rfile.readline
+        n_lines = 0
+        while True:
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading "
+                    "header line")
+                return False
+            n_lines += 1
+            if n_lines > _MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAX_HEADERS} headers")
+                return False
+            if line in _END_OF_HEAD:
+                break
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            headers[field[1].decode("ascii")] = field[2].decode("iso-8859-1")
+        self.headers = headers
+
+        conntype = headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     def _handle(self, send_body: bool) -> None:
         split = urlsplit(self.path)
@@ -422,22 +569,32 @@ class _Handler(BaseHTTPRequestHandler):
             except Exception as exc:  # never kill the worker thread
                 status, etag, body, content_type, extra = _error(
                     500, f"{type(exc).__name__}: {exc}")
-            self.send_response(status)
-            if etag:
-                self.send_header("ETag", etag)
-                self.send_header("Cache-Control", "no-cache")
-            for header, value in extra:
-                self.send_header(header, value)
-            if status != 304:
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            if send_body and status != 304 and body:
+            self.log_request(status)
+            length = len(body)
+            if not send_body or status == 304:
+                body = b""
+            if self.request_version == "HTTP/0.9":  # no head before 1.0
                 self.wfile.write(body)
+                return
+            head = [f"{self.protocol_version} {status} "
+                    f"{self.responses[status][0]}\r\n{self._server_line}"
+                    f"Date: {_http_date()}\r\n"]
+            if etag:
+                head.append(f"ETag: {etag}\r\nCache-Control: no-cache\r\n")
+            for header, value in extra:
+                head.append(f"{header}: {value}\r\n")
+            if status != 304:
+                head.append(f"Content-Type: {content_type}\r\n"
+                            f"Content-Length: {length}\r\n")
+            if service._draining:
+                # Keep-alive clients release their sockets after this.
+                head.append("Connection: close\r\n")
+                self.close_connection = True
+            head.append("\r\n")
+            self.wfile.write("".join(head).encode("latin-1") + body)
         finally:
             if service._request_finished():
-                # Draining: make keep-alive clients drop the socket so
-                # the connection threads exit promptly.
+                # Draining began while this request ran.
                 self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -449,7 +606,9 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         # Route through stdlib logging instead of stderr: silent under
         # the default WARNING level, visible with ``repro -v serve``.
-        logger.info("%s - %s", self.address_string(), format % args)
+        # The line is formatted only when it is logged.
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s - %s", self.address_string(), format % args)
 
 
 def serve(study: Study, host: str = "127.0.0.1", port: int = 8731,

@@ -6,9 +6,13 @@ session-scoped; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api import Study, StudyService
+from repro.config import HawkesConfig
 from repro.news.domains import default_registry
 from repro.pipeline import CollectedData, collect, influence_cascades
 from repro.synthesis.world import WorldConfig, build_world
@@ -47,3 +51,21 @@ def cascades(collected):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fresh_service(collected):
+    """A running service of its own, for tests that break or drain it."""
+    study = Study.from_data(
+        collected, hawkes=HawkesConfig(gibbs_iterations=12, gibbs_burn_in=4),
+        fit_seed=0, max_urls=6)
+    service = StudyService(study, port=0)
+    thread = threading.Thread(target=service.serve_forever, daemon=True)
+    thread.start()
+    yield service
+    try:
+        service.shutdown()
+        service.close()
+    except OSError:
+        pass
+    thread.join(timeout=5)

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -206,3 +207,134 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda p: _get(service, p), paths))
         assert all(status == 200 for status, _, _ in results)
+
+
+#: ``Server`` value of every response: the handler's name and Python's.
+SERVER = f"repro-serve Python/{sys.version.split()[0]}"
+JSON = "application/json; charset=utf-8"
+
+
+class TestKeepAlive:
+    def test_one_connection_carries_every_kind(self, service):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=30)
+        try:
+            conn.request("GET", "/tables/3")
+            response = conn.getresponse()
+            body = response.read()
+            sock = conn.sock
+            assert response.status == 200 and json.loads(body)["table"] == 3
+            etag = response.getheader("ETag")
+
+            conn.request("GET", "/tables/3", headers={"If-None-Match": etag})
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (304, b"")
+            assert conn.sock is sock
+
+            conn.request("HEAD", "/tables/3")
+            response = conn.getresponse()
+            assert response.status == 200 and response.read() == b""
+            assert response.getheader("Content-Length") == str(len(body))
+            assert response.getheader("ETag") == etag
+            assert conn.sock is sock
+
+            conn.request("GET", "/nope")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert "error" in json.loads(response.read())
+            assert conn.sock is sock
+
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert b"repro_http_requests_total{" in response.read()
+            assert conn.sock is sock
+            assert not response.will_close
+        finally:
+            conn.close()
+
+
+class TestResponseHead:
+    """Header names, order and values (all but ``Date``) of each kind."""
+
+    @staticmethod
+    def _head(port, path, headers=None):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request("GET", path, headers=headers or {})
+            response = conn.getresponse()
+            body = response.read()
+            fields = response.getheaders()
+        finally:
+            conn.close()
+        assert [name for name, _ in fields].count("Date") == 1
+        assert fields[1][0] == "Date"
+        return (response.version, response.status, response.reason,
+                [(name, value) for name, value in fields if name != "Date"],
+                body)
+
+    def test_200_304_404(self, service):
+        etag = service.study.etag("table:5")
+        version, status, reason, fields, body = self._head(
+            service.port, "/tables/5")
+        assert (version, status, reason) == (11, 200, "OK")
+        assert fields == [("Server", SERVER), ("ETag", etag),
+                          ("Cache-Control", "no-cache"),
+                          ("Content-Type", JSON),
+                          ("Content-Length", str(len(body)))]
+
+        _, status, reason, fields, body = self._head(
+            service.port, "/tables/5", {"If-None-Match": etag})
+        assert (status, reason, body) == (304, "Not Modified", b"")
+        assert fields == [("Server", SERVER), ("ETag", etag),
+                          ("Cache-Control", "no-cache")]
+
+        _, status, reason, fields, body = self._head(service.port, "/nope")
+        assert (status, reason) == (404, "Not Found")
+        assert fields == [("Server", SERVER),
+                          ("Content-Type", JSON),
+                          ("Content-Length", str(len(body)))]
+
+    def test_stale_warning(self, fresh_service, monkeypatch):
+        service = fresh_service
+        good = self._head(service.port, "/tables/2")
+        stale_etag = service.study.etag("table:2")
+        monkeypatch.setattr(service.study, "etag",
+                            lambda name: '"forced-fresh"')
+        monkeypatch.setattr(
+            service.study, "table",
+            lambda table_id: (_ for _ in ()).throw(
+                RuntimeError("rebuild failed")))
+        _, status, _, fields, body = self._head(service.port, "/tables/2")
+        assert status == 200 and body == good[4]
+        assert fields == [("Server", SERVER), ("ETag", stale_etag),
+                          ("Cache-Control", "no-cache"),
+                          ("Warning", '110 repro-serve "Response is Stale"'),
+                          ("Content-Type", JSON),
+                          ("Content-Length", str(len(body)))]
+
+
+class TestDrain:
+    def test_keep_alive_connection_is_told_to_close(self, fresh_service):
+        service = fresh_service
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.getheader("Connection") is None
+            assert not response.will_close
+
+            assert service.drain(timeout=5.0) is True
+            # The connection opened before the drain is still served,
+            # once, and told to close.
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+            assert conn.sock is None  # http.client closed its socket
+        finally:
+            conn.close()

@@ -380,23 +380,6 @@ def _http_get(port, path):
         conn.close()
 
 
-@pytest.fixture
-def fresh_service(collected):
-    study = Study.from_data(
-        collected, hawkes=HawkesConfig(gibbs_iterations=12, gibbs_burn_in=4),
-        fit_seed=0, max_urls=6)
-    service = StudyService(study, port=0)
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    yield service
-    try:
-        service.shutdown()
-        service.close()
-    except OSError:
-        pass
-    thread.join(timeout=5)
-
-
 class TestServiceResilience:
     def test_stale_while_revalidate_and_degraded_health(
             self, fresh_service, monkeypatch):
