@@ -14,11 +14,11 @@ ALT = NewsCategory.ALTERNATIVE
 MAIN = NewsCategory.MAINSTREAM
 
 
-def test_ablation_bots(benchmark, bench_data, save_result):
+def test_ablation_bots(benchmark, bench_study, bench_data, save_result):
     detection = benchmark(detect_bots, bench_data.twitter, 0.4)
     filtered = detection.filter_dataset(bench_data.twitter)
 
-    world = bench_data.world
+    world = bench_study.world
     truth = {uid for uid, u in world.twitter.users.items() if u.is_bot}
     authors = {r.author_id for r in bench_data.twitter
                if r.author_id is not None}

@@ -24,8 +24,8 @@ from repro.reporting import render_table
 
 
 def main() -> None:
-    data = Study(scenario="bot-amplification").data
-    world = data.world
+    study = Study(scenario="bot-amplification")
+    data, world = study.data, study.world
     bot_ids = {uid for uid, user in world.twitter.users.items()
                if user.is_bot}
     print(f"{len(bot_ids)} of {len(world.twitter.users)} Twitter "

@@ -164,14 +164,15 @@ class Study:
     def from_data(cls, data, **kwargs) -> "Study":
         """Wrap an existing :class:`~repro.pipeline.CollectedData`.
 
-        The world and data stages are pre-seeded from ``data`` (keyed
-        by ``data.world.config``, which the caller vouches actually
-        produced it); downstream stages compute lazily as usual, so
-        data collected elsewhere gets every product without re-collecting.
+        The data stage is pre-seeded from ``data`` (keyed by
+        ``data.config``, which the caller vouches actually produced
+        it); downstream stages compute lazily as usual, so data
+        collected elsewhere gets every product without re-collecting.
+        The world itself is not kept in ``data``: asking for
+        :attr:`world` builds it again from the config.
         """
-        study = cls(world=data.world.config, **kwargs)
+        study = cls(world=data.config, **kwargs)
         with study._lock:
-            study._memo["world"] = data.world
             study._memo["data"] = data
         return study
 

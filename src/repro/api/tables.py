@@ -71,15 +71,14 @@ def _named_slices(data) -> dict:
 
 
 def _table_1(data):
-    world = data.world
-    totals = {"Twitter": world.twitter.total_posts,
-              "Reddit": world.reddit.total_posts,
-              "4chan": world.fourchan.total_posts}
+    totals = {"Twitter": data.total_posts["twitter"],
+              "Reddit": data.total_posts["reddit"],
+              "4chan": data.total_posts["4chan"]}
     datasets = {"Twitter": data.twitter, "Reddit": data.reddit,
                 "4chan": data.fourchan}
-    for spec in world.config.extra_platforms:
+    for spec in data.config.extra_platforms:
         if spec.key in data.extras:
-            totals[spec.display] = world.extras[spec.key].total_posts
+            totals[spec.display] = data.total_posts[spec.key]
             datasets[spec.display] = data.extras[spec.key]
     rows = chz.total_post_shares(totals, datasets)
     return _artifact(1, ["Platform", "Total posts", "% alt", "% main"],

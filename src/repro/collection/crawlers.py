@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..config import FOURCHAN_GAPS
-from ..news.classify import extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
 from ..platforms.fourchan import ARCHIVE_RETENTION, FourchanPlatform
 from ..platforms.generic import GenericPlatform
 from ..platforms.reddit import RedditPlatform
 from ..timeutil import Interval
-from .store import Dataset, DatasetRecord, UrlOccurrence
+from .store import Dataset, DatasetRecord, news_occurrences
 
 
 @dataclass
@@ -31,8 +30,8 @@ class GenericCollector:
     def stream(self, platform: GenericPlatform) -> Iterator[DatasetRecord]:
         """Yield news-URL records one at a time, in timestamp order."""
         for post in sorted(platform.posts, key=lambda p: p.created_at):
-            news_urls = extract_news_urls(post.text, self.registry)
-            if not news_urls:
+            urls = news_occurrences(post.text, self.registry)
+            if not urls:
                 continue
             yield DatasetRecord(
                 post_id=post.post_id,
@@ -40,11 +39,7 @@ class GenericCollector:
                 community=post.community,
                 author_id=post.author_id,
                 created_at=float(post.created_at),
-                urls=tuple(
-                    UrlOccurrence(url=u.url, domain=u.domain,
-                                  category=u.category)
-                    for u in news_urls
-                ),
+                urls=urls,
             )
 
     def collect(self, platform: GenericPlatform) -> Dataset:
@@ -64,8 +59,8 @@ class RedditDumpReader:
                      for comment in platform.comments.values())
         items.sort(key=lambda p: p.created_at)
         for post in items:
-            news_urls = extract_news_urls(post.text, self.registry)
-            if not news_urls:
+            urls = news_occurrences(post.text, self.registry)
+            if not urls:
                 continue
             yield DatasetRecord(
                 post_id=post.post_id,
@@ -73,11 +68,7 @@ class RedditDumpReader:
                 community=post.community,
                 author_id=post.author_id,
                 created_at=float(post.created_at),
-                urls=tuple(
-                    UrlOccurrence(url=u.url, domain=u.domain,
-                                  category=u.category)
-                    for u in news_urls
-                ),
+                urls=urls,
             )
 
     def collect(self, platform: RedditPlatform) -> Dataset:
@@ -125,8 +116,8 @@ class FourchanCrawler:
         posts.sort(key=lambda p: p.created_at)
         for raw in posts:
             post = raw.to_post()
-            news_urls = extract_news_urls(post.text, self.registry)
-            if not news_urls:
+            urls = news_occurrences(post.text, self.registry)
+            if not urls:
                 continue
             yield DatasetRecord(
                 post_id=post.post_id,
@@ -134,11 +125,7 @@ class FourchanCrawler:
                 community=post.community,
                 author_id=None,
                 created_at=float(post.created_at),
-                urls=tuple(
-                    UrlOccurrence(url=u.url, domain=u.domain,
-                                  category=u.category)
-                    for u in news_urls
-                ),
+                urls=urls,
             )
 
     def collect(self, platform: FourchanPlatform,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from ..news.domains import NewsCategory
+from ..news import classify
+from ..news.domains import NewsCategory, NewsRegistry
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,28 @@ class UrlOccurrence:
     url: str
     domain: str
     category: NewsCategory
+
+
+def news_occurrences(text: str,
+                     registry: NewsRegistry) -> tuple[UrlOccurrence, ...]:
+    """The news URLs a collector stores for a post whose text is ``text``.
+
+    Empty when the text links no news site (the collector drops the
+    post).  Memoized per text string on the registry, the way
+    :func:`~repro.news.classify.classify_url` memoizes raw URLs: most
+    posts repost a few story texts, so each distinct text is parsed
+    once and its records share one frozen tuple.
+    """
+    memo = registry._occurrences
+    occurrences = memo.get(text)
+    if occurrences is None:
+        occurrences = tuple(
+            UrlOccurrence(url=u.url, domain=u.domain, category=u.category)
+            for u in classify.extract_news_urls(text, registry))
+        if len(memo) >= classify.MEMO_CAP:
+            memo.clear()
+        memo[text] = occurrences
+    return occurrences
 
 
 @dataclass(frozen=True)

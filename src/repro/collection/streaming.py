@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..config import TWITTER_GAPS
-from ..news.classify import extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
 from ..platforms.twitter import TwitterPlatform
 from ..timeutil import Interval, in_any_interval
-from .store import Dataset, DatasetRecord, UrlOccurrence
+from .store import Dataset, DatasetRecord, news_occurrences
 
 
 @dataclass
@@ -53,8 +52,8 @@ class TwitterStreamCollector:
             if (self.sample_rate < 1.0
                     and rng.random() >= self.sample_rate):
                 continue
-            news_urls = extract_news_urls(tweet.text, self.registry)
-            if not news_urls:
+            urls = news_occurrences(tweet.text, self.registry)
+            if not urls:
                 continue
             yield DatasetRecord(
                 post_id=tweet.tweet_id,
@@ -62,11 +61,7 @@ class TwitterStreamCollector:
                 community="Twitter",
                 author_id=tweet.user_id,
                 created_at=float(tweet.created_at),
-                urls=tuple(
-                    UrlOccurrence(url=u.url, domain=u.domain,
-                                  category=u.category)
-                    for u in news_urls
-                ),
+                urls=urls,
             )
 
     def collect(self, platform: TwitterPlatform) -> Dataset:

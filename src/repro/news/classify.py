@@ -26,9 +26,11 @@ class ClassifiedUrl:
         return self.category == NewsCategory.ALTERNATIVE
 
 
-#: Entries a registry's raw-URL memo may hold before it is cleared.
-#: Collectors see each distinct URL several times (one per repost), so a
-#: few thousand entries cover a whole world while bounding memory.
+#: Entries each of a registry's memos (raw URLs here, post texts in
+#: :func:`repro.collection.store.news_occurrences`) may hold before it
+#: is cleared.  Collectors see each distinct URL and text several times
+#: (one per repost), so a few thousand entries cover a whole world
+#: while bounding memory.
 #: Threads may race on the memo unlocked: every caller still gets a
 #: correct result, and the cap is overshot by at most one entry each.
 MEMO_CAP = 8192

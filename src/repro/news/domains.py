@@ -244,20 +244,24 @@ class NewsRegistry:
         if len(self._by_name) != len(self.domains):
             raise ValueError("duplicate domain names in registry")
         #: Raw URL -> classification memo owned by
-        #: :func:`repro.news.classify.classify_url`.  Not a field, so it
-        #: never enters equality or ``repr``.
+        #: :func:`repro.news.classify.classify_url`, and post text ->
+        #: URL occurrences memo owned by
+        #: :func:`repro.collection.store.news_occurrences`.  Not fields,
+        #: so they never enter equality or ``repr``.
         self._classified: dict[str, object] = {}
+        self._occurrences: dict[str, tuple] = {}
 
     def __getstate__(self) -> dict:
-        # The memo is a per-process cache: pickles (the artifact store
+        # The memos are per-process caches: pickles (the artifact store
         # persists worlds, which hold their registry) stay as they were.
         state = dict(self.__dict__)
-        del state["_classified"]
+        del state["_classified"], state["_occurrences"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._classified = {}
+        self._occurrences = {}
 
     # -- lookups ----------------------------------------------------------
 

@@ -31,20 +31,48 @@ from .collection import (
 from .platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from .config import PLATFORM_POL, PLATFORM_REDDIT, PLATFORM_TWITTER
 from .core.influence import UrlCascade
-from .synthesis.world import World
+from .synthesis.world import World, WorldConfig
+
+
+def _total_posts(world: World) -> dict[str, int]:
+    """Every platform's post count, news or not (Table 1's totals)."""
+    totals = {"twitter": world.twitter.total_posts,
+              "reddit": world.reddit.total_posts,
+              "4chan": world.fourchan.total_posts}
+    totals.update((key, platform.total_posts)
+                  for key, platform in world.extras.items())
+    return totals
 
 
 @dataclass
 class CollectedData:
-    """Everything the analyses consume, post-collection."""
+    """Everything the analyses consume, post-collection.
 
-    world: World
+    Of the world it was collected from, only what the analyses read is
+    kept: its ``config`` (which names the extra platforms) and each
+    platform's ``total_posts`` (keyed ``twitter``, ``reddit``, ``4chan``
+    and each extra platform's spec key).  The ``data`` stage pickles
+    this object, so it must not hold the world, which the ``world``
+    stage already stores.  Records of one text share one ``urls`` tuple
+    (see :func:`~repro.collection.store.news_occurrences`), and the
+    pickle stores each shared tuple once.
+    """
+
+    config: WorldConfig
+    total_posts: dict[str, int]
     twitter: Dataset
     reddit: Dataset
     fourchan: Dataset
     recrawl: RecrawlStats
     #: Datasets of scenario-declared generic platforms, keyed by spec key.
     extras: dict[str, Dataset] = field(default_factory=dict)
+
+    def __setstate__(self, state: dict) -> None:
+        world = state.pop("world", None)
+        if world is not None:  # pickled when the data held its world
+            state["config"] = world.config
+            state["total_posts"] = _total_posts(world)
+        self.__dict__.update(state)
 
     # -- canonical slices ---------------------------------------------------
 
@@ -67,7 +95,7 @@ class CollectedData:
     def extra_slices(self) -> dict[str, Dataset]:
         """Extra-platform datasets keyed by their process/slice name."""
         slices: dict[str, Dataset] = {}
-        for spec in self.world.config.extra_platforms:
+        for spec in self.config.extra_platforms:
             if spec.key in self.extras:
                 slices[spec.process] = self.extras[spec.key]
         return slices
@@ -114,8 +142,10 @@ def collect(world: World, stream_seed: int = 0) -> CollectedData:
         key: GenericCollector(registry=world.registry).collect(platform)
         for key, platform in world.extras.items()
     }
-    return CollectedData(world=world, twitter=twitter, reddit=reddit,
-                         fourchan=fourchan, recrawl=recrawl, extras=extras)
+    return CollectedData(config=world.config,
+                         total_posts=_total_posts(world), twitter=twitter,
+                         reddit=reddit, fourchan=fourchan, recrawl=recrawl,
+                         extras=extras)
 
 
 def stream_source_factories(world: World, stream_seed: int = 0,

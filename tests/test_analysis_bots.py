@@ -130,11 +130,11 @@ class TestEvaluation:
 
 
 class TestOnSyntheticWorld:
-    def test_detection_beats_chance(self, collected):
+    def test_detection_beats_chance(self, small_world, collected):
         """On the session world, detected accounts should be enriched
         in true bots relative to the base rate."""
-        world = collected.world
-        truth = {uid for uid, u in world.twitter.users.items() if u.is_bot}
+        truth = {uid for uid, u in small_world.twitter.users.items()
+                 if u.is_bot}
         authors = {r.author_id for r in collected.twitter
                    if r.author_id is not None}
         if not (truth & authors):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import characterization as chz
-from repro.api import ArtifactStore, Study, build_table
+from repro.api import ArtifactStore, Study, build_table, digest
 from repro.config import TWITTER_GAPS, HawkesConfig
 from repro.core import fit_corpus, select_urls, trim_gap_urls
 from repro.news.domains import NewsCategory
@@ -276,9 +276,32 @@ class TestCrossProcess:
 
 
 class TestFromData:
-    def test_preseeds_world_and_data(self, api_study, collected):
+    def test_preseeds_world_and_data(self, api_study, collected,
+                                     small_world):
         assert api_study.data is collected
-        assert api_study.world is collected.world
+        # The data keeps no world: the study rebuilds the one its
+        # config produced.
+        world = api_study.world
+        assert digest(world.config) == digest(small_world.config)
+        assert collected.config is small_world.config
+        assert world.twitter.total_posts == small_world.twitter.total_posts
+
+    def test_data_pickled_with_its_world_still_loads(self, collected,
+                                                      small_world):
+        """A ``data`` stage cached when ``CollectedData`` held the world."""
+        import pickle
+        from repro.pipeline import CollectedData
+        old = object.__new__(CollectedData)
+        old.__dict__.update(
+            {"world": small_world,
+             **{name: value for name, value in vars(collected).items()
+                if name not in ("config", "total_posts")}})
+        loaded = pickle.loads(pickle.dumps(old))
+        assert "world" not in vars(loaded)
+        assert digest(loaded.config) == digest(collected.config)
+        assert loaded.total_posts == collected.total_posts
+        assert (build_table(1, loaded).render()
+                == build_table(1, collected).render())
 
     def test_payloads_are_json_ready(self, api_study):
         import json

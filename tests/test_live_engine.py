@@ -243,10 +243,19 @@ class TestCheckpointStrictness:
     def test_warm_classification_memo_writes_same_bytes(self, tiny_world,
                                                         tmp_path):
         from repro.news.domains import default_registry
-        default_registry()._classified.clear()
+        registry = default_registry()
+        registry._classified.clear()
+        registry._occurrences.clear()
         cold = self._drain_to_checkpoint(tiny_world, tmp_path / "cold.json")
-        assert default_registry()._classified  # the second drain hits it
+        assert registry._classified
+        parsed = dict(registry._occurrences)
+        assert parsed
         warm = self._drain_to_checkpoint(tiny_world, tmp_path / "warm.json")
+        # Every text of the second drain hit the text memo: no entry was
+        # added or rebuilt.
+        assert registry._occurrences.keys() == parsed.keys()
+        assert all(registry._occurrences[text] is urls
+                   for text, urls in parsed.items())
         assert cold.records_seen == warm.records_seen > 0
         assert ((tmp_path / "cold.json").read_bytes()
                 == (tmp_path / "warm.json").read_bytes())

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.collection.store import UrlOccurrence, news_occurrences
 from repro.news import classify
 from repro.news.articles import ArticleGenerator
 from repro.news.classify import ClassifiedUrl, classify_url, extract_news_urls
@@ -135,16 +136,22 @@ class TestExtractNewsUrls:
         assert extract_news_urls("", registry) == []
 
 
-def _world_raw_urls(world) -> list[str]:
-    """Every distinct raw URL in the world's posts, in first-seen order."""
-    texts = itertools.chain(
+def _world_texts(world) -> list[str]:
+    """The text of every post in the world, repeats included."""
+    return list(itertools.chain(
         (tweet.text for tweet in world.twitter.firehose),
         (post.to_post().text for post in world.reddit.posts.values()),
         (c.to_post().text for c in world.reddit.comments.values()),
         (post.to_post().text for thread in world.fourchan.threads.values()
-         for post in thread.posts))
+         for post in thread.posts),
+        (post.text for platform in world.extras.values()
+         for post in platform.posts)))
+
+
+def _world_raw_urls(world) -> list[str]:
+    """Every distinct raw URL in the world's posts, in first-seen order."""
     return list(dict.fromkeys(
-        url for text in texts for url in extract_urls(text)))
+        url for text in _world_texts(world) for url in extract_urls(text)))
 
 
 def _classify_directly(url: str, registry: NewsRegistry):
@@ -154,6 +161,16 @@ def _classify_directly(url: str, registry: NewsRegistry):
         return None
     return ClassifiedUrl(url=canonicalize_url(url), domain=entry.name,
                          category=entry.category)
+
+
+def _occurrences_directly(text: str, registry: NewsRegistry):
+    seen = {}
+    for raw in extract_urls(text):
+        found = _classify_directly(raw, registry)
+        if found is not None and found.url not in seen:
+            seen[found.url] = UrlOccurrence(url=found.url, domain=found.domain,
+                                            category=found.category)
+    return tuple(seen.values())
 
 
 class TestClassifyMemo:
@@ -166,6 +183,18 @@ class TestClassifyMemo:
         assert cold == expected
         warm = [classify_url(url, registry) for url in urls]
         assert warm == expected
+
+    def test_text_memo_matches_direct_extraction(self, small_world):
+        registry = NewsRegistry()  # cold memos
+        texts = _world_texts(small_world)
+        assert len(set(texts)) < len(texts)  # reposts repeat texts
+        expected = [_occurrences_directly(text, registry) for text in texts]
+        cold = [news_occurrences(text, registry) for text in texts]
+        assert cold == expected
+        warm = [news_occurrences(text, registry) for text in texts]
+        assert warm == expected
+        # A warm lookup hands out the stored tuple: no text is parsed twice.
+        assert all(w is c for w, c in zip(warm, cold))
 
     def test_registries_keep_separate_memos(self):
         url = "https://www.breitbart.com/2016/story"
@@ -184,12 +213,17 @@ class TestClassifyMemo:
             for url, want in zip(urls, expected):
                 assert classify_url(url, registry) == want
                 assert len(registry._classified) <= 2
+                assert news_occurrences(url, registry) == (
+                    _occurrences_directly(url, registry))
+                assert len(registry._occurrences) <= 2
 
     def test_memo_outside_equality_and_repr(self):
         warm, cold = NewsRegistry(), NewsRegistry()
         before = repr(warm)
         classify_url("http://cnn.com/a", warm)
         classify_url("http://example.com/b", warm)
+        news_occurrences("see http://rt.com/c and http://cnn.com/a", warm)
+        assert warm._occurrences
         assert warm == cold
         assert repr(warm) == before
 
@@ -197,8 +231,12 @@ class TestClassifyMemo:
         import pickle
         warm = NewsRegistry()
         classify_url("http://cnn.com/a", warm)
+        text = "read http://cnn.com/a"
+        news_occurrences(text, warm)
         clone = pickle.loads(pickle.dumps(warm))
-        assert clone == warm and clone._classified == {}
+        assert clone == warm
+        assert clone._classified == {} and clone._occurrences == {}
         assert pickle.dumps(warm) == pickle.dumps(NewsRegistry())
         assert classify_url("http://cnn.com/a", clone) == classify_url(
             "http://cnn.com/a", warm)
+        assert news_occurrences(text, clone) == news_occurrences(text, warm)

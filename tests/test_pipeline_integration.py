@@ -61,12 +61,11 @@ class TestCollection:
 
 
 class TestCharacterizationShape:
-    def test_table1_alt_smaller_than_main(self, collected):
-        world = collected.world
+    def test_table1_alt_smaller_than_main(self, small_world, collected):
         rows = chz.total_post_shares(
-            {"twitter": world.twitter.total_posts,
-             "reddit": world.reddit.total_posts,
-             "4chan": world.fourchan.total_posts},
+            {"twitter": small_world.twitter.total_posts,
+             "reddit": small_world.reddit.total_posts,
+             "4chan": small_world.fourchan.total_posts},
             {"twitter": collected.twitter, "reddit": collected.reddit,
              "4chan": collected.fourchan})
         for row in rows:
