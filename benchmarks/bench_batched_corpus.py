@@ -1,13 +1,13 @@
-"""Batched vs per-URL corpus fits: urls/sec per method × corpus shape.
+"""Batched vs per-URL corpus Gibbs fits: urls/sec per corpus shape.
 
 Batching exists for exactly one workload: many small cascades, where a
 per-URL fit is NumPy-dispatch-bound (hundreds of kernel launches per
-URL on arrays with tens of elements).  For each method this bench fits
-the same synthetic corpora with one ``fit_em`` / ``fit_gibbs`` call per
-URL (one-cascade batches) and with ``fit_corpus``, which packs chunks
-of cascades (both ``n_jobs=1``, so the comparison isolates the
-packing, not process fan-out), checks the two are bit-identical, and
-reports urls/sec plus the batched speedup per shape.
+URL on arrays with tens of elements).  This bench fits the same
+synthetic corpora with one ``fit_gibbs`` call per URL (one-cascade
+batches) and with ``fit_corpus``, which packs chunks of cascades (both
+``n_jobs=1``, so the comparison isolates the packing, not process
+fan-out), checks the two are bit-identical, and reports urls/sec plus
+the batched speedup per shape.
 
 ``BENCH_SMOKE=1`` shrinks the corpora for a fast CI pass.  Corpora are
 synthesized directly — no world build — so the full mode stays in
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
-from repro.core.hawkes import LogBinnedLagBasis, fit_em, fit_gibbs
+from repro.core.hawkes import LogBinnedLagBasis, fit_gibbs
 from repro.core.hawkes.inference import Priors
 from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
 from repro.parallel import spawn_task_seeds
@@ -29,18 +29,14 @@ from repro.reporting import render_table
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
-#: (name, n_urls, events_per_url) — tiny cascades dominate the paper's
-#: corpus (median URL has a handful of posts), small ones the tail.
-SHAPES = ((("tiny-cascades", 120, 5), ("small-cascades", 60, 12))
-          if SMOKE else
-          (("tiny-cascades", 1500, 5), ("small-cascades", 400, 12)))
+#: (name, events_per_url) — tiny cascades dominate the paper's corpus
+#: (median URL has a handful of posts), small ones the tail.
+SHAPES = (("tiny-cascades", 5), ("small-cascades", 12))
+N_URLS = 40 if SMOKE else 300
 
-BENCH_HAWKES = HawkesConfig(max_lag_bins=120)
-#: Gibbs at the sweep budget of ``repro report``; fewer URLs per shape,
-#: since a Gibbs sweep costs about as much as an EM iteration.
-GIBBS_HAWKES = HawkesConfig(max_lag_bins=120, gibbs_iterations=30,
+#: Gibbs at the sweep budget of ``repro report``.
+BENCH_HAWKES = HawkesConfig(max_lag_bins=120, gibbs_iterations=30,
                             gibbs_burn_in=10)
-GIBBS_URLS = 40 if SMOKE else 300
 
 
 def build_corpus(n_urls, events_per_url, seed):
@@ -70,61 +66,15 @@ def _priors(config):
                   impulse_concentration=config.impulse_concentration)
 
 
-def _per_url_em(corpus):
-    """One ``fit_em`` call per URL, configured as ``fit_corpus`` is."""
-    config = BENCH_HAWKES
-    basis = LogBinnedLagBasis(config.max_lag_bins)
-    return [fit_em(cascade_to_events(cascade), config.max_lag_bins,
-                   basis=basis, priors=_priors(config))
-            for cascade in corpus]
-
-
 def _timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
 
 
-def _batched_em(corpus):
-    return fit_corpus(corpus, BENCH_HAWKES, method="em")
-
-
-def test_bench_batched_corpus(benchmark, save_result):
-    corpora = {name: build_corpus(n, m, seed=17 + i)
-               for i, (name, n, m) in enumerate(SHAPES)}
-    first_shape = SHAPES[0][0]
-    rows = []
-    for name, n_urls, events_per_url in SHAPES:
-        corpus = corpora[name]
-        per_url, per_url_s = _timed(_per_url_em, corpus)
-        if name == first_shape:
-            # One shape goes through the benchmark fixture so the run
-            # is visible to pytest-benchmark's own reporting.
-            batched, batched_s = benchmark.pedantic(
-                _timed, args=(_batched_em, corpus), rounds=1, iterations=1)
-        else:
-            batched, batched_s = _timed(_batched_em, corpus)
-        for ref, got in zip(per_url, batched.fits):
-            assert np.array_equal(got.weights, ref.weights)
-            assert got.log_likelihood == ref.log_likelihood
-        speedup = per_url_s / batched_s
-        rows.append([name, str(n_urls), str(events_per_url),
-                     f"{n_urls / per_url_s:.1f}",
-                     f"{n_urls / batched_s:.1f}", f"{speedup:.1f}x"])
-    table = render_table(
-        ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
-         "Speedup"],
-        rows, title=f"Corpus EM, n_jobs=1, max_lag="
-                    f"{BENCH_HAWKES.max_lag_bins}"
-                    f"{' (smoke)' if SMOKE else ''}")
-    save_result("batched_corpus_throughput.txt", table)
-    print()
-    print(table)
-
-
 def _per_url_gibbs(corpus, seed):
     """One ``fit_gibbs`` call per URL, seeded as ``fit_corpus`` seeds."""
-    config = GIBBS_HAWKES
+    config = BENCH_HAWKES
     basis = LogBinnedLagBasis(config.max_lag_bins)
     return [fit_gibbs(cascade_to_events(cascade), config.max_lag_bins,
                       basis=basis, priors=_priors(config),
@@ -136,29 +86,36 @@ def _per_url_gibbs(corpus, seed):
                 corpus, spawn_task_seeds(seed, len(corpus)))]
 
 
-def test_bench_batched_gibbs_corpus(save_result):
+def _batched_gibbs(corpus, seed):
+    return fit_corpus(corpus, BENCH_HAWKES, rng=seed)
+
+
+def test_bench_batched_corpus(benchmark, save_result):
     rows = []
-    for i, (name, _, events_per_url) in enumerate(SHAPES):
-        corpus = build_corpus(GIBBS_URLS, events_per_url, seed=17 + i)
-        start = time.perf_counter()
-        per_url = _per_url_gibbs(corpus, seed=5)
-        per_url_s = time.perf_counter() - start
-        start = time.perf_counter()
-        batched = fit_corpus(corpus, GIBBS_HAWKES, rng=5)
-        batched_s = time.perf_counter() - start
+    for i, (name, events_per_url) in enumerate(SHAPES):
+        corpus = build_corpus(N_URLS, events_per_url, seed=17 + i)
+        per_url, per_url_s = _timed(_per_url_gibbs, corpus, 5)
+        if i == 0:
+            # One shape goes through the benchmark fixture so the run
+            # is visible to pytest-benchmark's own reporting.
+            batched, batched_s = benchmark.pedantic(
+                _timed, args=(_batched_gibbs, corpus, 5), rounds=1,
+                iterations=1)
+        else:
+            batched, batched_s = _timed(_batched_gibbs, corpus, 5)
         for ref, got in zip(per_url, batched.fits):
             assert np.array_equal(got.weights, ref.weights)
             assert got.log_likelihood == ref.log_likelihood
         speedup = per_url_s / batched_s
-        rows.append([name, str(GIBBS_URLS), str(events_per_url),
-                     f"{GIBBS_URLS / per_url_s:.1f}",
-                     f"{GIBBS_URLS / batched_s:.1f}", f"{speedup:.1f}x"])
+        rows.append([name, str(N_URLS), str(events_per_url),
+                     f"{N_URLS / per_url_s:.1f}",
+                     f"{N_URLS / batched_s:.1f}", f"{speedup:.1f}x"])
     table = render_table(
         ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
          "Speedup"],
-        rows, title=f"Corpus Gibbs, {GIBBS_HAWKES.gibbs_iterations} sweeps,"
-                    f" n_jobs=1, max_lag={GIBBS_HAWKES.max_lag_bins}"
+        rows, title=f"Corpus Gibbs, {BENCH_HAWKES.gibbs_iterations} sweeps,"
+                    f" n_jobs=1, max_lag={BENCH_HAWKES.max_lag_bins}"
                     f"{' (smoke)' if SMOKE else ''}")
-    save_result("batched_gibbs_throughput.txt", table)
+    save_result("batched_corpus_throughput.txt", table)
     print()
     print(table)

@@ -1,7 +1,7 @@
 """Microbenchmarks of the statistical core.
 
 Times the pieces every experiment pays for: branching simulation,
-a single Gibbs fit, a single EM fit, and log-likelihood evaluation, on
+a single Gibbs fit and log-likelihood evaluation, on
 a standardized 8-process synthetic cascade sized like a busy corpus URL.
 
 Set ``BENCH_SMOKE=1`` to shrink the case (fewer bins and sweeps) for a
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.hawkes import (
     HawkesParams,
-    fit_em,
     fit_gibbs,
     simulate_branching,
 )
@@ -28,7 +27,6 @@ MAX_LAG = 720
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_BINS = 2_000 if SMOKE else 10_000
 GIBBS_SWEEPS, GIBBS_BURN = (10, 3) if SMOKE else (40, 15)
-EM_ITERATIONS = 10 if SMOKE else 50
 
 
 @pytest.fixture(scope="module")
@@ -69,18 +67,6 @@ def test_bench_fit_gibbs(benchmark, standard_case):
                          n_iterations=GIBBS_SWEEPS, burn_in=GIBBS_BURN,
                          rng=np.random.default_rng(3),
                          keep_samples=False)
-
-    result = benchmark(run)
-    assert result.params.n_processes == K
-
-
-def test_bench_fit_em(benchmark, standard_case):
-    _, events = standard_case
-    basis = LogBinnedLagBasis(MAX_LAG)
-
-    def run():
-        return fit_em(events, MAX_LAG, basis=basis,
-                      max_iterations=EM_ITERATIONS)
 
     result = benchmark(run)
     assert result.params.n_processes == K

@@ -9,7 +9,8 @@ point is that the K-platform generalization costs nothing on the paper
 path and scales sanely with K.
 
 ``BENCH_SMOKE=1`` shrinks the worlds for a fast CI pass.  All fits use
-fast EM so the bench measures the scenario plumbing, not Gibbs sweeps.
+a short Gibbs run (20 sweeps) so the bench measures the scenario
+plumbing, not long chains.
 """
 
 import dataclasses
@@ -46,7 +47,7 @@ def _scaled_study(name: str) -> Study:
     scenario = get_scenario(name)
     world = dataclasses.replace(scenario.world, **SCALE)
     return Study(scenario=dataclasses.replace(scenario, world=world),
-                 hawkes=BENCH_HAWKES, method="em", max_urls=MAX_URLS)
+                 hawkes=BENCH_HAWKES, max_urls=MAX_URLS)
 
 
 def _get(port: int, path: str) -> int:
@@ -105,7 +106,8 @@ def test_bench_scenarios(benchmark, save_result):
     table = render_table(
         ["Scenario", "K", "Corpus URLs", "fit URLs/s", "serve req/s"],
         rows, title=f"Scenario presets end-to-end "
-                    f"({'smoke' if SMOKE else 'full'} mode, EM)")
+                    f"({'smoke' if SMOKE else 'full'} mode, Gibbs "
+                    f"{BENCH_HAWKES.gibbs_iterations} sweeps)")
     print()
     print(table)
     save_result("bench_scenarios.txt", table)

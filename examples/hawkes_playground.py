@@ -3,9 +3,8 @@
 
 A self-contained tour of the statistical core, no world generation
 involved: build a known multivariate Hawkes process, simulate it, and
-check that both the Gibbs sampler and the EM fitter recover the
-generating parameters — the validation the paper itself could not run
-on real data.
+check that the Gibbs sampler recovers the generating parameters — the
+validation the paper itself could not run on real data.
 
 Run:
     python examples/hawkes_playground.py
@@ -17,7 +16,6 @@ import numpy as np
 
 from repro.core.hawkes import (
     HawkesParams,
-    fit_em,
     fit_gibbs,
     simulate_branching,
 )
@@ -61,9 +59,6 @@ def main() -> None:
     print()
 
     started = time.time()
-    em = fit_em(events, truth.max_lag)
-    em_seconds = time.time() - started
-    started = time.time()
     gibbs = fit_gibbs(events, truth.max_lag, n_iterations=80, burn_in=30,
                       rng=rng)
     gibbs_seconds = time.time() - started
@@ -74,22 +69,19 @@ def main() -> None:
             rows.append([
                 f"{src} -> {dst}",
                 f"{truth.weights[i, j]:.3f}",
-                f"{em.weights[i, j]:.3f}",
                 f"{gibbs.weights[i, j]:.3f}",
             ])
-    print(render_table(["Edge", "truth", "EM", "Gibbs"], rows,
+    print(render_table(["Edge", "truth", "Gibbs"], rows,
                        title="Weight recovery"))
     print()
     print(render_table(
-        ["Process", "truth λ0", "EM λ0", "Gibbs λ0"],
+        ["Process", "truth λ0", "Gibbs λ0"],
         [[name, f"{truth.background[i]:.5f}",
-          f"{em.background[i]:.5f}", f"{gibbs.background[i]:.5f}"]
+          f"{gibbs.background[i]:.5f}"]
          for i, name in enumerate(PROCESSES)],
         title="Background-rate recovery"))
     print()
     print(f"log-likelihoods: truth {discrete_log_likelihood(truth, events):.1f}"
-          f"  EM {em.log_likelihood:.1f} ({em_seconds:.1f}s, "
-          f"{em.n_iterations} iters)"
           f"  Gibbs {gibbs.log_likelihood:.1f} ({gibbs_seconds:.1f}s)")
 
     # Posterior uncertainty from the Gibbs samples.
@@ -97,9 +89,8 @@ def main() -> None:
     print(f"posterior std of W(Twitter->Twitter): "
           f"{spread[2, 2]:.4f} over {len(gibbs.weight_samples)} samples")
 
-    err_em = np.abs(em.weights - truth.weights).max()
     err_gibbs = np.abs(gibbs.weights - truth.weights).max()
-    print(f"max |W_hat - W|: EM {err_em:.3f}, Gibbs {err_gibbs:.3f}")
+    print(f"max |W_hat - W|: Gibbs {err_gibbs:.3f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ comparing the alternative and mainstream news ecosystems.
 
 Run (default ~2-4 minutes):
     python examples/influence_study.py
-    python examples/influence_study.py --urls 100 --method em
+    python examples/influence_study.py --urls 100 --iterations 30
 """
 
 import argparse
@@ -25,8 +25,6 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--urls", type=int, default=250,
                         help="max URLs to fit (0 = all selected)")
-    parser.add_argument("--method", choices=["gibbs", "em"],
-                        default="gibbs")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--iterations", type=int, default=40,
                         help="Gibbs sweeps per URL")
@@ -44,10 +42,10 @@ def main() -> None:
                     n_reddit_users=1200),
         hawkes=HawkesConfig(gibbs_iterations=args.iterations,
                             gibbs_burn_in=max(5, args.iterations // 3)),
-        method=args.method, fit_seed=args.seed,
+        fit_seed=args.seed,
         max_urls=args.urls or None, n_jobs=args.jobs)
     print("building world and collecting datasets...")
-    print(f"fitting {len(study.corpus)} URLs with {args.method}...")
+    print(f"fitting {len(study.corpus)} URLs with Gibbs...")
     started = time.time()
     result = study.influence()
     print(f"fitted in {time.time() - started:.0f}s\n")

@@ -9,7 +9,7 @@ and reports how the headline quantities move:
 * :func:`sweep_bin_size`       — Delta t in {0.5, 1, 5} minutes
 * :func:`sweep_max_lag`        — Delta t_max in {6, 12, 24, 48} hours
 * :func:`sweep_gap_trim`       — trim fraction in {0, 10, 20}%
-* :func:`estimator_agreement`  — Gibbs vs EM vs continuous-time EM
+* :func:`estimator_agreement`  — Gibbs vs continuous-time EM
 """
 
 from __future__ import annotations
@@ -120,10 +120,9 @@ def sweep_gap_trim(cascades: Sequence[UrlCascade],
 
 @dataclass(frozen=True)
 class EstimatorComparison:
-    """Per-URL weight matrices under three estimators."""
+    """Per-URL weight matrices under two estimators."""
 
     gibbs: np.ndarray        # (n, K, K)
-    em: np.ndarray           # (n, K, K)
     continuous: np.ndarray   # (n, K, K)
 
     def correlation(self, a: str, b: str) -> float:
@@ -155,11 +154,9 @@ def estimator_agreement(cascades: Sequence[UrlCascade],
                         config: HawkesConfig,
                         seed: int = 0,
                         n_jobs: int | None = 1) -> EstimatorComparison:
-    """Fit the same URLs with Gibbs, discrete EM, and continuous EM."""
+    """Fit the same URLs with discrete-time Gibbs and continuous EM."""
     rng = np.random.default_rng(seed)
-    gibbs = fit_corpus(cascades, config, method="gibbs", rng=rng,
-                       n_jobs=n_jobs)
-    em = fit_corpus(cascades, config, method="em", n_jobs=n_jobs)
+    gibbs = fit_corpus(cascades, config, rng=rng, n_jobs=n_jobs)
     continuous_weights = []
     conv_rng = np.random.default_rng(seed + 1)
     for cascade in cascades:
@@ -173,7 +170,6 @@ def estimator_agreement(cascades: Sequence[UrlCascade],
         continuous_weights.append(fit.params.weights)
     return EstimatorComparison(
         gibbs=np.stack([f.weights for f in gibbs.fits]),
-        em=np.stack([f.weights for f in em.fits]),
         continuous=np.stack(continuous_weights),
     )
 

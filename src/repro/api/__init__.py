@@ -21,7 +21,7 @@ upstream, so a changed knob invalidates exactly the cone below it::
             ├── overview                   (report counts, Figures 3, 5)
             └── cascades
                   └── corpus (gaps, trim_fraction, max_urls)
-                        └── fits (HawkesConfig, method, fit_seed)
+                        └── fits (HawkesConfig, fit_seed)
                               ├── table:11
                               ├── aggregate   (Figure 10)
                               └── summary     (Table 11 rates)

@@ -96,7 +96,6 @@ def scenario_payload(scenario) -> dict:
         "processes": list(eco.processes),
         "platforms": [spec.key for spec in eco.platforms],
         "slices": list(eco.slices),
-        "method": scenario.method,
         "seed": scenario.world.seed,
     }
 

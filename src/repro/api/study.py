@@ -1,9 +1,9 @@
 """The :class:`Study` session: one configuration, every pipeline product.
 
 A ``Study`` owns all the knobs a reproduction run needs (world
-configuration, Hawkes configuration, fit method and seed, worker
-count) and exposes each pipeline product — world, collected datasets,
-cascades, corpus, per-URL fits, aggregates, tables — as a lazily
+configuration, Hawkes configuration and fit seed, worker count) and
+exposes each pipeline product — world, collected datasets, cascades,
+corpus, per-URL fits, aggregates, tables — as a lazily
 computed stage artifact, rendering the markdown report from them.
 Stages form an explicit dependency graph; each stage's key is the
 content hash of its parameters plus its upstream keys, so identically
@@ -34,7 +34,6 @@ from ..platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from ..obs import DEFAULT_TIME_BUCKETS, get_registry, span
 from ..core.influence import (
     CorpusSummary,
-    FitMethod,
     InfluenceResult,
     UrlCascade,
     WeightAggregate,
@@ -80,21 +79,19 @@ class Study:
         result = study.influence()          # per-URL Hawkes fits
 
     Parameters: ``world`` (or the ``seed`` shorthand) configures the
-    synthetic world, ``hawkes`` / ``method`` / ``fit_seed`` /
-    ``max_urls`` the Section-5 corpus fit, and ``n_jobs`` the worker
-    fan-out (a pure execution knob — results and therefore artifact
-    keys are identical for any value).  Both fit methods pack the
-    corpus into batched array programs that give each URL the bits of
-    fitting it alone.  ``cache_dir`` persists artifacts on disk, shared
-    across processes; ``store`` injects a prebuilt
-    :class:`ArtifactStore` instead.
+    synthetic world, ``hawkes`` / ``fit_seed`` / ``max_urls`` the
+    Section-5 corpus fit, and ``n_jobs`` the worker fan-out (a pure
+    execution knob — results and therefore artifact keys are identical
+    for any value).  The Gibbs fits pack the corpus into batched array
+    programs that give each URL the bits of fitting it alone.
+    ``cache_dir`` persists artifacts on disk, shared across processes;
+    ``store`` injects a prebuilt :class:`ArtifactStore` instead.
     """
 
     def __init__(self, world: WorldConfig | None = None, *,
                  scenario=None,
                  seed: int | None = None,
                  hawkes: HawkesConfig | None = None,
-                 method: FitMethod | None = None,
                  fit_seed: SeedLike = 0,
                  max_urls: int | None = None,
                  gaps: Sequence[Interval] = TWITTER_GAPS,
@@ -105,8 +102,8 @@ class Study:
                  cache_dir=None,
                  store: ArtifactStore | None = None) -> None:
         # ``scenario`` (a name like "gab", an id like "gab@v1", or a
-        # Scenario object) supplies the defaults for world / hawkes /
-        # method and fixes the ecosystem; explicit arguments override
+        # Scenario object) supplies the defaults for world / hawkes and
+        # fixes the ecosystem; explicit arguments override
         # the scenario's bundle piecewise.
         if scenario is not None:
             from ..scenarios import get_scenario
@@ -130,11 +127,6 @@ class Study:
             hawkes = (scenario.hawkes if scenario is not None
                       else HawkesConfig())
         self.hawkes_config = hawkes
-        if method is None:
-            method = scenario.method if scenario is not None else "gibbs"
-        if method not in ("gibbs", "em"):
-            raise ValueError(f"unknown fit method {method!r}")
-        self.method: FitMethod = method
         self.max_urls = max_urls
         self.gaps = tuple(gaps)
         self.trim_fraction = trim_fraction
@@ -203,7 +195,6 @@ class Study:
 
     def _compute_fits(self):
         return fit_corpus(self._value("corpus"), self.hawkes_config,
-                          method=self.method,
                           processes=self.ecosystem.processes,
                           rng=self._fit_seed_root(),
                           n_jobs=self.n_jobs,
@@ -234,9 +225,10 @@ class Study:
                                         "trim_fraction": s.trim_fraction,
                                         "max_urls": s.max_urls},
                              Study._compute_corpus),
+            # The constant "method" keeps every existing fits key valid.
             "fits": _Stage(("corpus",),
                            lambda s: {"hawkes": s.hawkes_config,
-                                      "method": s.method,
+                                      "method": "gibbs",
                                       "fit_seed": list(s._fit_seed_state),
                                       "keep_samples": s.keep_samples},
                            Study._compute_fits),

@@ -127,7 +127,7 @@ def _study(args: argparse.Namespace, **overrides):
     }
     scenario = getattr(args, "scenario", None)
     if scenario is not None:
-        # A preset bundles world + ecosystem + Hawkes config + method;
+        # A preset bundles world + ecosystem + Hawkes config;
         # the generic world/seed flags don't apply on this path.
         kwargs["scenario"] = scenario
     else:

@@ -1,7 +1,7 @@
 """Core contribution: discrete-time Hawkes influence estimation.
 
 ``repro.core.hawkes`` implements the statistical machinery of Section 5
-(model, simulation, Gibbs/EM inference) and ``repro.core.influence``
+(model, simulation, Gibbs inference) and ``repro.core.influence``
 implements the corpus-level experiment: URL selection, per-URL fitting,
 and the aggregations behind Table 11 and Figures 10-11.
 """
@@ -13,7 +13,6 @@ from .hawkes import (
     LogBinnedLagBasis,
     discrete_log_likelihood,
     expected_rate,
-    fit_em,
     fit_gibbs,
     simulate_branching,
     simulate_stepwise,
@@ -37,7 +36,6 @@ __all__ = [
     "LogBinnedLagBasis",
     "discrete_log_likelihood",
     "expected_rate",
-    "fit_em",
     "fit_gibbs",
     "simulate_branching",
     "simulate_stepwise",

@@ -13,9 +13,9 @@ Submodules
 ``basis``       lag-PMF parameterizations (full Dirichlet, log-binned)
 ``kernels``     flat segment-wise array kernels shared by all of the above
 ``simulation``  exact branching sampler and a stepwise cross-check sampler
-``inference``   priors and the per-URL fitters (Gibbs sampler, EM), each
-                the one-cascade call of ``batched``
-``batched``     EM, Gibbs and the log-likelihood over packed corpora (one
+``inference``   priors and the per-URL Gibbs sampler, the one-cascade
+                call of ``batched``
+``batched``     Gibbs and the log-likelihood over packed corpora (one
                 array program per batch, the same bits as fitting each
                 URL alone)
 """
@@ -24,17 +24,15 @@ from .basis import DirichletLagBasis, LagBasis, LogBinnedLagBasis
 from .batched import (
     BatchedFitResult,
     PackedCascades,
-    fit_em_batched,
     fit_gibbs_batched,
 )
 from .model import HawkesParams, discrete_log_likelihood, expected_rate
 from .simulation import simulate_branching, simulate_stepwise
-from .inference import FitResult, fit_em, fit_gibbs
+from .inference import FitResult, fit_gibbs
 
 __all__ = [
     "BatchedFitResult",
     "PackedCascades",
-    "fit_em_batched",
     "fit_gibbs_batched",
     "DirichletLagBasis",
     "LagBasis",
@@ -45,6 +43,5 @@ __all__ = [
     "simulate_branching",
     "simulate_stepwise",
     "FitResult",
-    "fit_em",
     "fit_gibbs",
 ]

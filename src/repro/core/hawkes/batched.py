@@ -5,9 +5,8 @@ call dispatch — hundreds of kernel launches per URL on arrays with tens
 of elements.  This module removes the corpus loop itself: a batch of
 per-URL :class:`~repro.core.events.DiscreteEvents` is packed into one
 flat segmented layout with a leading cascade axis, and every phase of a
-sweep runs across the entire batch in single NumPy calls.  Two fitters
-share the layout: :func:`fit_em_batched` (batched EM) and
-:func:`fit_gibbs_batched`, the only Gibbs sweep
+sweep runs across the entire batch in single NumPy calls.
+:func:`fit_gibbs_batched` is the package's only Hawkes fitter
 (:func:`~.inference.fit_gibbs` is its one-cascade call).
 
 Packing
@@ -25,47 +24,32 @@ through precomputed raveled indices that include the cascade.  The
 bucket-space closed forms (candidate values, truncation CDF, exposure)
 live in :class:`~.kernels.BucketKernels`.
 
-Equivalence contracts
----------------------
-Both fitters are *bit-identical to fitting each URL alone*, for every
+Equivalence contract
+--------------------
+A batched fit is *bit-identical to fitting each URL alone*, for every
 batch composition, chunk size and worker count: no reduction ever
-associates values of two cascades.
-
-*Gibbs.*  Each cascade keeps its own generator and draws in the
-per-URL order, and every reduction either stays per cascade (the
-candidate-mass cumsum and its ``searchsorted``, the posterior means of
-background and weights) or sums in the same sequential order as the
-per-URL sweep (integer attribution tallies, the exposure, the running
-bucket sum).  The frozen per-URL sweep in ``tests/gibbs_reference.py``
-pins this.  The likelihood of the posterior means is the one
-likelihood program below, run once on the sweeps' structure.
-
-*EM.*  Every step reproduces the historical per-event EM loops (the
-frozen ``naive_fit_em`` of ``tests/test_hawkes_kernels.py``) bit for
-bit.  Candidate products multiply as ``count * weight * pmf``; the
-per-entry candidate masses are one ``np.add.reduceat`` with a ``0.0``
-pad after *each cascade's* candidate block, because NumPy reduces a
-segment as ``a[0] + pairwise(a[1:])`` and the pad regroups the last
-entry's pairwise blocks exactly as it does for a lone cascade; the
-scatter-adds are sequential (``np.add.at``/``np.bincount``); the lag
-CDF is one sequential pass over the lags, the order of the per-lag
-``np.cumsum`` (:meth:`BatchedParentStructure.lag_cdf_rows`).
-:func:`~.inference.fit_em` is the one-cascade call.
+associates values of two cascades.  Each cascade keeps its own
+generator and draws in the per-URL order, and every reduction either
+stays per cascade (the candidate-mass cumsum and its ``searchsorted``,
+the posterior means of background and weights) or sums in the same
+sequential order as the per-URL sweep (integer attribution tallies,
+the exposure, the running bucket sum).  The frozen per-URL sweep in
+``tests/gibbs_reference.py`` pins this.  The likelihood of the
+posterior means is the one likelihood program below, run once on the
+sweeps' structure.
 
 Likelihood
 ----------
 :meth:`BatchedParentStructure.log_likelihood` is the only Hawkes
-log-likelihood of the package: EM scores every sweep with it, Gibbs
-scores its posterior means with it once, and
-:func:`~.model.discrete_log_likelihood` is its one-cascade call.  It
-sums each entry's rate from its background, each cascade's log terms in
-entry order and its rate integral per process from ``background *
-n_bins``, the association of the frozen ``naive_log_likelihood`` of
-``tests/test_hawkes_kernels.py``.
-
-EM convergence uses per-cascade freeze masks: the iteration a cascade's
-relative log-likelihood delta drops below ``tol`` its parameters and
-likelihood freeze while the rest of the batch keeps iterating.
+log-likelihood of the package: Gibbs scores its posterior means with
+it once, and :func:`~.model.discrete_log_likelihood` is its
+one-cascade call.  It sums each entry's rate from its background, each
+cascade's log terms in entry order and its rate integral per process
+from ``background * n_bins``, the association of the frozen
+``naive_log_likelihood`` of ``tests/test_hawkes_kernels.py``.  The
+rate integral reads the exact lag CDF, one sequential pass over the
+lags in the order of the per-lag ``np.cumsum``
+(:meth:`BatchedParentStructure.lag_cdf_rows`).
 """
 
 from __future__ import annotations
@@ -78,19 +62,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ...obs import DEFAULT_COUNT_BUCKETS, DEFAULT_DELTA_BUCKETS, get_registry
+from ...obs import DEFAULT_COUNT_BUCKETS, get_registry
 from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
 from .kernels import BucketKernels, segment_ranges
 from .model import HawkesParams
-
-#: Parameter floor shared with the per-URL MAP updates.
-_EPS = 1e-12
-
-#: Below this working-set size, compaction's repacking overhead beats
-#: its savings — small batches just finish with freeze masks.
-_COMPACT_MIN_CASCADES = 32
 
 
 class PackedCascades:
@@ -155,10 +132,9 @@ class BatchedParentStructure(BucketKernels):
     work is flat gathers, products, and sequential scatter-adds — for
     the whole batch at once.  The bucket-space kernels (candidate
     values, truncation CDF, exposure) are those of
-    :class:`~.kernels.BucketKernels`, shared by batched EM and Gibbs;
-    the kernels below (candidate masses, exact lag CDF, entry rates,
-    rate integrals, log-likelihood) build their layouts on first use,
-    so Gibbs sweeps never hold them.
+    :class:`~.kernels.BucketKernels`; the likelihood kernels below
+    (exact lag CDF, entry rates, rate integrals, log-likelihood) build
+    their layouts on first use, so Gibbs sweeps never hold them.
     """
 
     def __init__(self, packed: PackedCascades, basis: LagBasis) -> None:
@@ -189,36 +165,7 @@ class BatchedParentStructure(BucketKernels):
             (packed.n_cascades, k, k))
         self.v_cascade = self.v_row // k
 
-    # -- EM and likelihood kernels ------------------------------------------
-
-    @cached_property
-    def _padded_segments(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``np.add.reduceat`` layout with one ``0.0`` pad after each
-        cascade's candidates: (segment starts, candidate positions,
-        padded length)."""
-        has_entries = np.diff(self.packed.entry_offsets) > 0
-        pads_before = np.cumsum(has_entries) - has_entries
-        shift = pads_before[self.packed.cascade_of]
-        positions = (np.arange(len(self._pair), dtype=np.int64)
-                     + np.repeat(shift, self.sizes))
-        return (self.offsets[:-1] + shift, positions,
-                len(self._pair) + int(has_entries.sum()))
-
-    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
-        """Per-entry candidate-mass totals ``(n_entries,)``.
-
-        Each cascade's last segment carries one ``0.0`` pad, as the
-        padded ``reduceat`` of a lone cascade does, so every segment
-        sums in the same pairwise grouping as when fitted alone.
-        """
-        starts, positions, length = self._padded_segments
-        if not len(starts):
-            return np.zeros(0)
-        padded = np.zeros(length)
-        padded[positions] = flat_vals
-        sums = np.add.reduceat(padded, starts)
-        sums[self.sizes == 0] = 0.0
-        return sums
+    # -- likelihood kernels ------------------------------------------------
 
     @cached_property
     def _cdf_plan(self) -> dict:
@@ -368,8 +315,7 @@ class BatchedParentStructure(BucketKernels):
         bins without events contribute only their ``-lambda``, which
         the integral covers.  A cascade with a non-positive rate at one
         of its entries scores ``-inf``.  ``cdf_rows`` is
-        :meth:`lag_cdf_rows` of ``buckets``; EM reuses them for the next
-        sweep's exposure.
+        :meth:`lag_cdf_rows` of ``buckets``.
         """
         packed = self.packed
         rates = self.entry_rates(background, weights, buckets)
@@ -387,24 +333,23 @@ class BatchedParentStructure(BucketKernels):
 
 @dataclass(frozen=True)
 class BatchedFitResult:
-    """Per-cascade estimates of one batched fit (EM or Gibbs).
+    """Per-cascade posterior means of one batched Gibbs fit.
 
     Parameters stay stacked (cascade-leading axes) so a corpus driver
     can slice rows without materializing ``C`` expanded ``(K, K, D)``
     impulse arrays; :meth:`fit_result` expands one cascade on demand
-    for API parity with :func:`~.inference.fit_em` and
-    :func:`~.inference.fit_gibbs`.
+    for API parity with :func:`~.inference.fit_gibbs`.
     """
 
     background: np.ndarray      # (C, K)
     weights: np.ndarray         # (C, K, K)
     bucket_pmf: np.ndarray      # (C, K, K, B)
     log_likelihood: np.ndarray  # (C,)
-    n_iterations: np.ndarray    # (C,)
+    n_iterations: int           # sweeps, the same for every cascade
     basis: LagBasis
-    #: Gibbs only: kept W draws, (C, n_samples, K, K); n_samples is 0
-    #: unless the fit was asked to keep them.
-    weight_samples: np.ndarray | None = None
+    #: Kept W draws, (C, n_samples, K, K); n_samples is 0 unless the fit
+    #: was asked to keep them.
+    weight_samples: np.ndarray
 
     def __len__(self) -> int:
         return len(self.log_likelihood)
@@ -415,17 +360,16 @@ class BatchedFitResult:
             background=self.background[cascade].copy(),
             weights=self.weights[cascade].copy(),
             impulse=self.basis.expand(self.bucket_pmf[cascade]))
-        extra = ({} if self.weight_samples is None else
-                 {"weight_samples": self.weight_samples[cascade].copy()})
         return FitResult(params=params,
                          log_likelihood=float(self.log_likelihood[cascade]),
-                         n_iterations=int(self.n_iterations[cascade]),
-                         **extra)
+                         weight_samples=self.weight_samples[cascade].copy(),
+                         n_iterations=self.n_iterations)
 
 
 def _initial_state(structure: BatchedParentStructure, priors: Priors,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked :func:`.inference._initial_state` of every cascade."""
+    """Initial state of every cascade: prior means, with backgrounds
+    raised to half of each process's observed rate."""
     packed = structure.packed
     n_casc, k = packed.n_cascades, packed.n_processes
     totals_per = np.zeros((n_casc, k))
@@ -439,236 +383,36 @@ def _initial_state(structure: BatchedParentStructure, priors: Priors,
     return background, weights, buckets
 
 
-def _record_batch_metrics(method: str, n_cascades: int, iterations: int,
+def _record_batch_metrics(n_cascades: int, iterations: int,
                           total: float, phases: dict[str, float]) -> None:
     """Observe one completed batched fit (pure timing, RNG-free).
 
-    ``repro_fit_total`` counts one fit per cascade.
+    ``repro_fit_total`` counts one fit per cascade.  Every series
+    carries a constant ``method="gibbs"`` label, which scrapes and
+    dashboards filter on.
     """
     registry = get_registry()
+    label = {"method": "gibbs"}
     registry.counter("repro_fit_batch_total",
-                     "Completed batched corpus fits.", method=method).inc()
+                     "Completed batched corpus fits.", **label).inc()
     registry.counter("repro_fit_total",
                      "Completed per-URL Hawkes fits.",
-                     method=method).inc(n_cascades)
+                     **label).inc(n_cascades)
     registry.histogram("repro_fit_batch_cascades",
                        "Cascades packed into one batched fit.",
                        edges=DEFAULT_COUNT_BUCKETS,
-                       method=method).observe(n_cascades)
+                       **label).observe(n_cascades)
     registry.histogram("repro_fit_batch_iterations",
                        "Sweeps until the whole batch finished.",
                        edges=DEFAULT_COUNT_BUCKETS,
-                       method=method).observe(iterations)
+                       **label).observe(iterations)
     registry.histogram("repro_fit_batch_seconds",
                        "Wall time of one batched fit.",
-                       method=method).observe(total)
+                       **label).observe(total)
     phase_help = "Kernel wall time per fit phase, summed over sweeps."
     for phase, seconds in phases.items():
         registry.histogram("repro_fit_phase_seconds", phase_help,
-                           method=method, phase=phase).observe(seconds)
-
-
-def _record_em_convergence(n_iterations: np.ndarray,
-                           final_delta: np.ndarray) -> None:
-    """Observe each cascade's EM iterations and its final relative
-    log-likelihood delta (skipped while not finite, e.g. after one
-    sweep)."""
-    registry = get_registry()
-    iterations = registry.histogram(
-        "repro_fit_em_iterations", "EM iterations to convergence.",
-        edges=DEFAULT_COUNT_BUCKETS)
-    deltas = registry.histogram(
-        "repro_fit_em_convergence_delta",
-        "Final relative log-likelihood delta at EM termination.",
-        edges=DEFAULT_DELTA_BUCKETS)
-    for count, delta in zip(n_iterations.tolist(), final_delta.tolist()):
-        iterations.observe(count)
-        if np.isfinite(delta):
-            deltas.observe(delta)
-
-
-def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
-                   basis: LagBasis | None = None,
-                   priors: Priors | None = None,
-                   max_iterations: int = 200,
-                   tol: float = 1e-6) -> BatchedFitResult:
-    """Deterministic MAP EM over a batch of cascades, all phases batched.
-
-    ``result.fit_result(c)`` equals ``fit_em(events_list[c], max_lag,
-    ...)`` bit for bit — background, weights, impulse, log-likelihood
-    and iteration count — with one array program instead of ``C``
-    dispatch loops; see the module docstring for how each step keeps
-    the per-URL order.  Each cascade iterates until its own relative
-    log-likelihood delta drops below ``tol`` (then freezes) or
-    ``max_iterations`` is hit.
-
-    Converged cascades first freeze (``np.where`` masking), and once
-    half the working set is frozen the batch is *compacted*: frozen
-    results are flushed to the output arrays and the survivors are
-    repacked into a smaller batch.  Cascades never interact, so
-    compaction is invisible in the results; it only stops long-tail
-    cascades from dragging the already-converged majority through
-    extra full-batch sweeps.
-    """
-    priors = priors or Priors()
-    basis = basis or LogBinnedLagBasis(max_lag)
-    if basis.max_lag != max_lag:
-        raise ValueError("basis.max_lag must equal max_lag")
-    fit_start = perf_counter()
-    work = list(events_list)
-    n_total = len(work)
-    packed = PackedCascades(work, basis.max_lag)
-    structure = BatchedParentStructure(packed, basis)
-    n_casc = packed.n_cascades
-    k_procs = packed.n_processes
-    n_buckets = basis.n_buckets
-
-    background, weights, buckets = _initial_state(structure, priors)
-
-    counts = packed.counts
-    entry_cell = structure.entry_cell
-    bg_denominator = priors.background_rate + packed.n_bins[:, None]
-
-    # Output arrays at full corpus size; the working set shrinks via
-    # compaction and ``orig`` maps working rows back to corpus rows.
-    orig = np.arange(n_total)
-    out_background = np.empty((n_total, k_procs))
-    out_weights = np.empty((n_total, k_procs, k_procs))
-    out_buckets = np.empty((n_total, k_procs, k_procs, n_buckets))
-    out_ll = np.full(n_total, -np.inf)
-    out_iterations = np.zeros(n_total, dtype=np.int64)
-    out_delta = np.full(n_total, np.inf)
-
-    active = np.ones(n_casc, dtype=bool)
-    previous_ll = np.full(n_casc, -np.inf)
-    final_ll = np.full(n_casc, -np.inf)
-    final_delta = np.full(n_casc, np.inf)
-    n_iterations = np.zeros(n_casc, dtype=np.int64)
-    # Lag-CDF rows of the current buckets: each sweep's likelihood
-    # computes them for the updated buckets, which the next sweep's
-    # exposure reuses (frozen cascades discard their updates anyway).
-    cdf_rows = None
-    attribution_s = updates_s = likelihood_s = 0.0
-    iterations_run = 0
-    for iteration in range(max_iterations):
-        if not active.any():
-            break
-        iterations_run = iteration + 1
-        phase_start = perf_counter()
-        # -- E-step: responsibilities over the whole batch ----------------
-        flat_vals = structure.candidate_values(weights, buckets)
-        seg_sums = structure.segment_sums(flat_vals)
-        entry_bg = background.reshape(-1)[entry_cell]
-        totals = entry_bg + seg_sums
-        safe = totals > 0
-        denominator = np.where(safe, totals, 1.0)
-        bg_resp = np.where(safe, counts * entry_bg / denominator, counts)
-        z_background = np.zeros((n_casc, k_procs))
-        np.add.at(z_background.reshape(-1), entry_cell, bg_resp)
-        z_weight = np.zeros(n_casc * k_procs * k_procs)
-        z_bucket = np.zeros(n_casc * k_procs * k_procs * n_buckets)
-        if len(flat_vals):
-            scale = np.where(safe, counts / denominator, 0.0)
-            flat_resp = flat_vals * np.repeat(scale, structure.sizes)
-            np.add.at(z_weight, structure._pair, flat_resp)
-            np.add.at(z_bucket, structure._bucket_index, flat_resp)
-        z_weight = z_weight.reshape(n_casc, k_procs, k_procs)
-        z_bucket = z_bucket.reshape(n_casc, k_procs, k_procs, n_buckets)
-        attribution_s += perf_counter() - phase_start
-        # -- MAP M-step ----------------------------------------------------
-        phase_start = perf_counter()
-        new_background = np.maximum(
-            (priors.background_shape - 1.0 + z_background)
-            / bg_denominator, _EPS)
-        if cdf_rows is None:
-            cdf_rows = structure.lag_cdf_rows(buckets)
-        exposure = structure.exposure_from_cdf(cdf_rows)
-        new_weights = np.maximum(
-            (priors.weight_shape - 1.0 + z_weight)
-            / (priors.weight_rate + exposure), 0.0)
-        concentration = np.maximum(
-            priors.impulse_concentration - 1.0 + z_bucket, _EPS)
-        new_buckets = concentration / concentration.sum(axis=3,
-                                                        keepdims=True)
-        updates_s += perf_counter() - phase_start
-        # -- log-likelihood of the updated parameters ----------------------
-        phase_start = perf_counter()
-        cdf_rows = structure.lag_cdf_rows(new_buckets)
-        current_ll = structure.log_likelihood(new_background, new_weights,
-                                              new_buckets, cdf_rows)
-        likelihood_s += perf_counter() - phase_start
-        # -- adopt updates for active cascades; freeze the converged -------
-        background = np.where(active[:, None], new_background, background)
-        weights = np.where(active[:, None, None], new_weights, weights)
-        buckets = np.where(active[:, None, None, None], new_buckets,
-                           buckets)
-        final_ll = np.where(active, current_ll, final_ll)
-        n_iterations[active] = iteration + 1
-        # previous_ll is -inf until a cascade's first sweep completes;
-        # the delta is then NaN/Inf and the comparison is correctly
-        # False, so silence NumPy's invalid-value warning.
-        with np.errstate(invalid="ignore"):
-            delta = np.abs(current_ll - previous_ll)
-            scale_ll = 1.0 + np.abs(previous_ll)
-            converged = delta < tol * scale_ll
-            final_delta = np.where(active, delta / scale_ll, final_delta)
-        previous_ll = np.where(active, current_ll, previous_ll)
-        active &= ~converged
-        # -- compaction: flush the frozen, repack the survivors ------------
-        n_active = int(active.sum())
-        if (0 < n_active <= n_casc // 2
-                and n_casc >= _COMPACT_MIN_CASCADES):
-            frozen = np.flatnonzero(~active)
-            out_background[orig[frozen]] = background[frozen]
-            out_weights[orig[frozen]] = weights[frozen]
-            out_buckets[orig[frozen]] = buckets[frozen]
-            out_ll[orig[frozen]] = final_ll[frozen]
-            out_iterations[orig[frozen]] = n_iterations[frozen]
-            out_delta[orig[frozen]] = final_delta[frozen]
-            keep = np.flatnonzero(active)
-            work = [work[i] for i in keep]
-            orig = orig[keep]
-            background = np.ascontiguousarray(background[keep])
-            weights = np.ascontiguousarray(weights[keep])
-            buckets = np.ascontiguousarray(buckets[keep])
-            previous_ll = previous_ll[keep]
-            final_ll = final_ll[keep]
-            final_delta = final_delta[keep]
-            n_iterations = n_iterations[keep]
-            packed = PackedCascades(work, basis.max_lag)
-            structure = BatchedParentStructure(packed, basis)
-            cdf_rows = None
-            n_casc = packed.n_cascades
-            counts = packed.counts
-            entry_cell = structure.entry_cell
-            bg_denominator = (priors.background_rate
-                              + packed.n_bins[:, None])
-            active = np.ones(n_casc, dtype=bool)
-
-    # Flush whatever the loop left in the working set (never-compacted
-    # batches, survivors of the last compaction, max_iterations tails).
-    out_background[orig] = background
-    out_weights[orig] = weights
-    out_buckets[orig] = buckets
-    out_ll[orig] = final_ll
-    out_iterations[orig] = n_iterations
-    out_delta[orig] = final_delta
-
-    _record_batch_metrics("em", n_total, iterations_run,
-                          perf_counter() - fit_start, {
-                              "attribution": attribution_s,
-                              "updates": updates_s,
-                              "likelihood": likelihood_s,
-                          })
-    _record_em_convergence(out_iterations, out_delta)
-    return BatchedFitResult(
-        background=out_background,
-        weights=out_weights,
-        bucket_pmf=out_buckets,
-        log_likelihood=out_ll,
-        n_iterations=out_iterations,
-        basis=basis,
-    )
+                           **label, phase=phase).observe(seconds)
 
 
 def candidate_counts(events_list: Sequence[DiscreteEvents],
@@ -753,12 +497,12 @@ def fit_gibbs_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     log_likelihood = structure.log_likelihood(
         mean_bg, mean_w, mean_buckets, structure.lag_cdf_rows(mean_buckets))
     phases["likelihood"] = perf_counter() - phase_start
-    _record_batch_metrics("gibbs", n_casc, n_iterations,
+    _record_batch_metrics(n_casc, n_iterations,
                           perf_counter() - fit_start, phases)
     return BatchedFitResult(
         background=mean_bg, weights=mean_w, bucket_pmf=mean_buckets,
         log_likelihood=log_likelihood,
-        n_iterations=np.full(n_casc, n_iterations), basis=basis,
+        n_iterations=n_iterations, basis=basis,
         weight_samples=(kept_w if keep_samples
                         else np.empty((n_casc, 0, k, k))))
 

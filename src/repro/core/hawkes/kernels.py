@@ -14,37 +14,32 @@ pays for a per-event Python loop.
 
 Bit-compatibility contract
 --------------------------
-EM (:func:`~.batched.fit_em_batched`, and :func:`~.inference.fit_em`,
-its one-cascade call) is required to produce *bit-identical* results to
-the historical per-event loops (the frozen ``naive_fit_em`` in
-``tests/test_hawkes_kernels.py``), so every kernel it uses preserves
-the exact floating-point evaluation and accumulation order of those
-loops: per-candidate products multiply left-to-right as ``count *
-weight * pmf``, and scatter-adds use :func:`np.ufunc.at` /
-``np.bincount`` / ``np.cumsum``, all of which accumulate sequentially
-in element order (a plain ``sum()`` would re-associate via pairwise
-summation and drift in the last bits).  EM never expands the PMF to
-``(K, K, max_lag)``: candidate values gather ``buckets / bucket_size``
-(the very division :meth:`LagBasis.expand` performs per lag), and the
-lag CDF at each entry's truncation point is one sequential pass over
-the lags (:meth:`~.batched.BatchedParentStructure.lag_cdf_rows`), the
-order of the per-lag ``np.cumsum``.
-
 The Gibbs sampler (:func:`~.batched.fit_gibbs_batched`) runs its sweeps
 in bucket space on the closed forms of :class:`BucketKernels`:
 
-* candidate values are the same bucket gathers as EM's, so they are
-  bit-identical to the per-lag gather;
+* candidate values gather ``buckets / bucket_size`` (the very division
+  :meth:`LagBasis.expand` performs per lag) and multiply left-to-right
+  as ``count * weight * pmf``, so they are bit-identical to the per-lag
+  gather;
 * the exposure uses the closed-form truncation CDF (cumulated buckets
   below the cap bucket plus the covered fraction of the cap bucket),
   which associates differently from the per-lag cumsum and agrees with
-  it to rounding (about 1e-16 relative).
+  it to rounding (about 1e-16 relative);
+* scatter-adds use :func:`np.ufunc.at` / ``np.bincount``, which
+  accumulate sequentially in element order (a plain ``sum()`` would
+  re-associate via pairwise summation and drift in the last bits).
 
 The sampler keeps seed-determinism — same seed, same result — but its
 *draw stream* differs from the historical sampler: one bulk uniform
 pass replaces per-event ``multinomial`` calls (the sampled law is
 unchanged; a multinomial is a sum of i.i.d. categorical draws).  The
-likelihood of its posterior means uses EM's exact kernels.
+likelihood of its posterior means never expands the PMF to ``(K, K,
+max_lag)`` either: its lag CDF at each entry's truncation point is one
+sequential pass over the lags
+(:meth:`~.batched.BatchedParentStructure.lag_cdf_rows`), the order of
+the per-lag ``np.cumsum``, so it equals the frozen
+``naive_log_likelihood`` of ``tests/test_hawkes_kernels.py`` bit for
+bit.
 
 Nothing is cached on :class:`~repro.core.events.DiscreteEvents`: each
 fit or likelihood builds one packed structure per batch, and the
@@ -85,9 +80,8 @@ def segment_ranges(starts: np.ndarray, stops: np.ndarray,
 class BucketKernels:
     """Bucket-space closed forms over a flat candidate layout.
 
-    The one home of the bucket-level kernels shared by batched Gibbs
-    and batched EM (:class:`~.batched.BatchedParentStructure`).
-    Parameters are
+    The one home of the bucket-level kernels of batched Gibbs
+    (:class:`~.batched.BatchedParentStructure`).  Parameters are
     addressed through raveled indices, so the same code serves a single
     cascade (``weights (K, K)``, ``buckets (K, K, B)``) and a batch with
     a leading cascade axis (``(C, K, K)``, ``(C, K, K, B)``).  A *row*

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,13 +36,10 @@ from .hawkes.basis import LagBasis, LogBinnedLagBasis
 from .hawkes.batched import (
     BatchedFitResult,
     candidate_counts,
-    fit_em_batched,
     fit_gibbs_batched,
     split_by_candidates,
 )
 from .hawkes.inference import Priors
-
-FitMethod = Literal["gibbs", "em"]
 
 #: Cascades packed into one batched fit, at most.  Bounds the flat
 #: candidate arrays (memory scales with total events in the batch, not
@@ -211,24 +208,19 @@ def _url_fits(cascades: Sequence[UrlCascade],
     ]
 
 
-def _fit_batch(chunk: Sequence[tuple[UrlCascade,
-                                     np.random.SeedSequence | None]], *,
-               method: FitMethod, config: HawkesConfig,
-               processes: tuple[str, ...], basis: LagBasis,
-               priors: Priors, keep_samples: bool) -> list[UrlFit]:
+def _fit_batch(chunk: Sequence[tuple[UrlCascade, np.random.SeedSequence]],
+               *, config: HawkesConfig, processes: tuple[str, ...],
+               basis: LagBasis, priors: Priors,
+               keep_samples: bool) -> list[UrlFit]:
     """Fit one packed batch of cascades; module-level for pickling.
 
-    Gibbs packs contiguous runs of at most
-    :data:`MAX_BATCH_CANDIDATES` candidate parents, each cascade with
-    the generator of its own task seed.
+    Packs contiguous runs of at most :data:`MAX_BATCH_CANDIDATES`
+    candidate parents, each cascade with the generator of its own task
+    seed.
     """
     cascades = [cascade for cascade, _ in chunk]
     events_list = [cascade_to_events(c, processes, config.delta_t)
                    for c in cascades]
-    if method == "em":
-        return _url_fits(cascades, events_list, fit_em_batched(
-            events_list, config.max_lag_bins, basis=basis, priors=priors),
-            keep_samples=False)
     fits: list[UrlFit] = []
     counts = candidate_counts(events_list, config.max_lag_bins)
     for run in split_by_candidates(counts, MAX_BATCH_CANDIDATES):
@@ -245,7 +237,6 @@ def _fit_batch(chunk: Sequence[tuple[UrlCascade,
 
 def fit_corpus(cascades: Sequence[UrlCascade],
                config: HawkesConfig | None = None,
-               method: FitMethod = "gibbs",
                processes: Sequence[str] = HAWKES_PROCESSES,
                basis: LagBasis | None = None,
                rng: SeedLike = None,
@@ -258,25 +249,21 @@ def fit_corpus(cascades: Sequence[UrlCascade],
 
     The corpus is split into contiguous batches of at most
     :data:`MAX_BATCH_CASCADES` cascades (``chunk_size`` of them when
-    given), and each batch is fitted as one packed array program
-    (:func:`~.hawkes.batched.fit_em_batched` or
-    :func:`~.hawkes.batched.fit_gibbs_batched`) that returns, for
-    every cascade, the bits of fitting that URL alone.  Batches fan out
-    over ``n_jobs`` worker processes
+    given), and each batch is fitted by Gibbs sampling as one packed
+    array program (:func:`~.hawkes.batched.fit_gibbs_batched`) that
+    returns, for every cascade, the bits of fitting that URL alone.
+    Batches fan out over ``n_jobs`` worker processes
     (:func:`repro.parallel.parallel_map`); ``n_jobs=1`` keeps
-    everything in-process and ``-1`` uses every core.  Each Gibbs URL
-    draws from its own random stream spawned from ``rng`` and keyed by
-    corpus position (task index), and EM is deterministic, which makes
-    the result **bit-for-bit identical for every** ``n_jobs`` **and**
-    ``chunk_size`` — the property the ``tests/test_parallel_*`` and
-    ``tests/test_batched_*`` suites enforce.  ``rng`` accepts a
-    ``Generator``, ``SeedSequence``, integer seed, or ``None`` (fresh
-    entropy).
+    everything in-process and ``-1`` uses every core.  Each URL draws
+    from its own random stream spawned from ``rng`` and keyed by corpus
+    position (task index), which makes the result **bit-for-bit
+    identical for every** ``n_jobs`` **and** ``chunk_size`` — the
+    property the ``tests/test_parallel_*`` and ``tests/test_batched_*``
+    suites enforce.  ``rng`` accepts a ``Generator``, ``SeedSequence``,
+    integer seed, or ``None`` (fresh entropy).
     """
     config = config or HawkesConfig()
     basis = basis or LogBinnedLagBasis(config.max_lag_bins)
-    if method not in ("gibbs", "em"):
-        raise ValueError(f"unknown fit method {method!r}")
     priors = Priors(
         background_shape=config.background_shape,
         background_rate=config.background_rate,
@@ -286,27 +273,24 @@ def fit_corpus(cascades: Sequence[UrlCascade],
     )
     processes = tuple(processes)
     n_urls = len(cascades)
-    if method == "gibbs":
-        seeds: Sequence[np.random.SeedSequence | None] = spawn_task_seeds(
-            rng, n_urls)
-    else:  # EM is deterministic; don't advance the caller's seed state
-        seeds = [None] * n_urls
     workers = resolve_n_jobs(n_jobs)
     if chunk_size is None:
         chunk_size = (auto_chunk_size(n_urls, workers)
                       if workers > 1 else n_urls)
     batch_size = max(1, min(chunk_size, MAX_BATCH_CASCADES))
-    tasks = list(zip(cascades, seeds))
+    tasks = list(zip(cascades, spawn_task_seeds(rng, n_urls)))
     batches = [tasks[start:stop]
                for start, stop in iter_chunks(n_urls, batch_size)]
     fit_batch = partial(
-        _fit_batch, method=method, config=config, processes=processes,
-        basis=basis, priors=priors, keep_samples=keep_samples)
+        _fit_batch, config=config, processes=processes, basis=basis,
+        priors=priors, keep_samples=keep_samples)
     batch_progress = None
     if progress is not None:
         def batch_progress(done: int, total: int) -> None:
             progress(min(done * batch_size, n_urls), n_urls)
-    with span("fit_corpus", urls=n_urls, method=method, n_jobs=n_jobs):
+    # The method label is constant; trace readers filter on it, as
+    # scrapes do on the repro_fit_* series.
+    with span("fit_corpus", urls=n_urls, method="gibbs", n_jobs=n_jobs):
         nested = parallel_map(fit_batch, batches, n_jobs=n_jobs,
                               chunk_size=1, progress=batch_progress)
     fits = [fit for batch in nested for fit in batch]

@@ -18,12 +18,7 @@ import numpy as np
 
 from ..config import HawkesConfig
 from ..obs import get_registry, span
-from ..core.influence import (
-    FitMethod,
-    InfluenceResult,
-    select_urls,
-    fit_corpus,
-)
+from ..core.influence import InfluenceResult, fit_corpus, select_urls
 from ..platforms.registry import PAPER_ECOSYSTEM, Ecosystem
 from ..timeutil import SECONDS_PER_DAY
 from .aggregators import CascadeAssembler
@@ -31,7 +26,11 @@ from .aggregators import CascadeAssembler
 
 @dataclass
 class RefitPolicy:
-    """When and over what horizon the refitter runs."""
+    """When and over what horizon the refitter runs.
+
+    Each refit is a Gibbs corpus fit, deterministic for a given
+    refitter seed: refit ``n``'s rng is ``seed + n``.
+    """
 
     #: Re-estimate after this many new records (stream cadence).
     every_records: int = 5000
@@ -41,10 +40,6 @@ class RefitPolicy:
     quiet_seconds: float = 2 * SECONDS_PER_DAY
     #: Cap on URLs per refit (keeps a refit's cost bounded).
     max_urls: int = 100
-    #: Fit method.  EM is not the cheap one: at the presets' sweep
-    #: counts batched Gibbs fits a corpus 4-5x faster, and Gibbs refits
-    #: are deterministic too (each refit's rng is ``seed + n_refits``).
-    method: FitMethod = "em"
     #: Worker processes per refit (see :mod:`repro.parallel`); results
     #: are identical for any value, so this is purely a latency knob.
     n_jobs: int = 1
@@ -107,7 +102,6 @@ class WindowedHawkesRefitter:
         with span("live.refit", records=self.records_at_last_refit,
                   urls=len(corpus)):
             result = fit_corpus(corpus, self.config,
-                                method=self.policy.method,
                                 processes=ecosystem.processes,
                                 rng=rng, n_jobs=self.policy.n_jobs)
         self.last_result = result

@@ -21,18 +21,15 @@ Metrics catalog, stage by stage
     repro_live_refit_corpus_urls            gauge      URLs in the last refit window
     repro_live_checkpoint_seconds           histogram  checkpoint save wall time
 
-**Hawkes fitters** (:mod:`repro.core.hawkes.batched`, which runs
-every EM and Gibbs fit as a batch of one or more cascades; ``method``
-is ``em`` or ``gibbs``) ::
+**Hawkes fitter** (:mod:`repro.core.hawkes.batched`, which runs
+every Gibbs fit as a batch of one or more cascades; ``method`` is
+always ``gibbs``) ::
 
     repro_fit_total{method}                 counter    completed fits, one per URL
-    repro_fit_em_iterations                 histogram  EM iterations to convergence, per URL
-    repro_fit_em_convergence_delta          histogram  final relative log-likelihood delta,
-                                                       per URL
     repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase and batch
                                                        (attribution / updates /
                                                        likelihood)
-    repro_fit_batch_total{method}           counter    batched fits (method em | gibbs)
+    repro_fit_batch_total{method}           counter    batched fits
     repro_fit_batch_cascades{method}        histogram  cascades packed into one batch
     repro_fit_batch_iterations{method}      histogram  sweeps until the batch finished
     repro_fit_batch_seconds{method}         histogram  one batched fit, wall time
@@ -95,7 +92,6 @@ live engine or service last published into an artifact store (ref
 
 from .metrics import (
     DEFAULT_COUNT_BUCKETS,
-    DEFAULT_DELTA_BUCKETS,
     DEFAULT_TIME_BUCKETS,
     METRICS_REF,
     NULL_REGISTRY,
@@ -125,7 +121,6 @@ __all__ = [
     "CONTENT_TYPE_PROMETHEUS",
     "Counter",
     "DEFAULT_COUNT_BUCKETS",
-    "DEFAULT_DELTA_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",

@@ -47,12 +47,10 @@ SNAPSHOT_VERSION = 1
 METRICS_REF = "obs/metrics"
 
 
-def _decade_edges(lo_exp: int, hi_exp: int,
-                  mantissas: tuple[float, ...] = (1.0, 2.5, 5.0),
-                  ) -> tuple[float, ...]:
+def _decade_edges(lo_exp: int, hi_exp: int) -> tuple[float, ...]:
     """1-2.5-5 log-spaced bucket edges spanning ``10**lo .. 10**hi``."""
     edges = [m * 10.0 ** e for e in range(lo_exp, hi_exp)
-             for m in mantissas]
+             for m in (1.0, 2.5, 5.0)]
     edges.append(10.0 ** hi_exp)
     return tuple(edges)
 
@@ -61,8 +59,6 @@ def _decade_edges(lo_exp: int, hi_exp: int,
 DEFAULT_TIME_BUCKETS = _decade_edges(-5, 2)
 #: Small counts (iterations, corpus sizes): 1 up to 1000.
 DEFAULT_COUNT_BUCKETS = _decade_edges(0, 3)
-#: Convergence deltas and other tiny ratios: 1e-12 up to 1.
-DEFAULT_DELTA_BUCKETS = _decade_edges(-12, 0, mantissas=(1.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ EXTENSIONS: tuple[tuple[str, str, str], ...] = (
     ("Gap trimming", "ablation_gap_trim.txt",
      "sensitivity to the 10% shortest-URL drop (0/10/20%)"),
     ("Estimators", "ablation_estimators.txt",
-     "Gibbs vs discrete EM vs continuous-time EM on identical URLs"),
+     "Gibbs vs continuous-time EM on identical URLs"),
     ("Bot removal", "ablation_bots.txt",
      "the counterfactual the paper declined (Section 3)"),
     ("MCMC diagnostics", "diagnostics.txt",

@@ -4,8 +4,7 @@ A :class:`Scenario` bundles a :class:`~repro.synthesis.world.WorldConfig`
 (volumes, bot mix, extra platforms), an
 :class:`~repro.platforms.registry.Ecosystem` (the K platforms, the
 influence-process axes, community routing, and the corpus selection
-rule), a :class:`~repro.config.HawkesConfig`, and a fit method.  The
-built-in presets:
+rule) and a :class:`~repro.config.HawkesConfig`.  The built-in presets:
 
 ============== ==== =====================================================
 name             K  what it is

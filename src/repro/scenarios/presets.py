@@ -15,8 +15,8 @@ from ..synthesis.users import PopulationShape
 from ..synthesis.world import WorldConfig
 from .registry import Scenario, register_scenario
 
-#: Quick-fit Hawkes settings for the non-paper presets: EM-friendly
-#: Gibbs budget, same binning/priors as the paper config.
+#: Quick-fit Hawkes settings for the non-paper presets: a short Gibbs
+#: run (30 sweeps, 10 burn-in), same binning/priors as the paper config.
 _FAST_HAWKES = HawkesConfig(gibbs_iterations=30, gibbs_burn_in=10)
 
 #: Gab as a K-th platform: an alternative-leaning generic forum that
@@ -36,16 +36,16 @@ GAB_SPEC = PlatformSpec(
 
 MINIMAL = register_scenario(Scenario(
     name="minimal",
-    version=1,
+    version=2,
     title="Minimal smoke world",
     description=("Tiny paper-shaped world sized for CI smokes and "
-                 "benchmarks: same triple, same selection rule, EM fits."),
+                 "benchmarks: same triple, same selection rule, short "
+                 "Gibbs fits."),
     world=WorldConfig(seed=11, n_stories_alternative=220,
                       n_stories_mainstream=650, n_twitter_users=250,
                       n_reddit_users=200, n_generic_subreddits=30),
     ecosystem=PAPER_ECOSYSTEM,
     hawkes=_FAST_HAWKES,
-    method="em",
 ))
 
 WEB_CENTIPEDE = register_scenario(Scenario(
@@ -58,12 +58,11 @@ WEB_CENTIPEDE = register_scenario(Scenario(
     world=WorldConfig(),
     ecosystem=PAPER_ECOSYSTEM,
     hawkes=HawkesConfig(),
-    method="gibbs",
 ))
 
 GAB = register_scenario(Scenario(
     name="gab",
-    version=1,
+    version=2,
     title="Gab joins the ecosystem (K=4)",
     description=("The paper's triple plus a Gab-style generic platform; "
                  "subreddits merge into one Reddit process, so the "
@@ -75,26 +74,25 @@ GAB = register_scenario(Scenario(
     ecosystem=make_ecosystem("gab", extras=(GAB_SPEC,),
                              merge_subreddits=True),
     hawkes=_FAST_HAWKES,
-    method="em",
 ))
 
 ELECTION_WEEK = register_scenario(Scenario(
     name="election-week",
-    version=1,
+    version=2,
     title="US election week zoom",
     description=("The paper's ecosystem seeded on the Nov 2016 election "
-                 "week (the example study's configuration), EM fits."),
+                 "week (the example study's configuration), short Gibbs "
+                 "fits."),
     world=WorldConfig(seed=1108, n_stories_alternative=800,
                       n_stories_mainstream=2400, n_twitter_users=1000,
                       n_reddit_users=800),
     ecosystem=PAPER_ECOSYSTEM,
     hawkes=_FAST_HAWKES,
-    method="em",
 ))
 
 BOT_AMPLIFICATION = register_scenario(Scenario(
     name="bot-amplification",
-    version=1,
+    version=2,
     title="Bot-amplified alternative news",
     description=("The paper's ecosystem with a bot-heavy Twitter "
                  "population (more alternative-only authors, almost all "
@@ -108,5 +106,4 @@ BOT_AMPLIFICATION = register_scenario(Scenario(
                           bot_fraction_of_alt_only=0.95)),
     ecosystem=PAPER_ECOSYSTEM,
     hawkes=_FAST_HAWKES,
-    method="em",
 ))

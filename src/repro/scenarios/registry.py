@@ -15,8 +15,8 @@ class Scenario:
 
     A scenario fixes the WorldConfig (volumes, bot mix, extra
     platforms), the ecosystem (K platforms, influence processes,
-    community routing, corpus selection rule), the HawkesConfig, and
-    the fit method.  ``Study(scenario=...)`` resolves its defaults from
+    community routing, corpus selection rule) and the HawkesConfig of
+    its Gibbs fits.  ``Study(scenario=...)`` resolves its defaults from
     here, and the scenario id participates in artifact keys so presets
     cache independently.
     """
@@ -28,7 +28,6 @@ class Scenario:
     world: WorldConfig
     ecosystem: Ecosystem
     hawkes: HawkesConfig = field(default_factory=HawkesConfig)
-    method: str = "gibbs"
 
     @property
     def scenario_id(self) -> str:

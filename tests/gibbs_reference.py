@@ -15,10 +15,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hawkes.basis import LogBinnedLagBasis
-from repro.core.hawkes.inference import FitResult, Priors, _initial_state
+from repro.core.hawkes.inference import FitResult, Priors
 from repro.core.hawkes.model import HawkesParams, discrete_log_likelihood
 
 from parent_reference import ParentStructure
+
+
+def initial_state(events, basis, priors: Priors,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heuristic initialization: prior means, backgrounds raised to half
+    of each process's observed rate."""
+    k_procs = events.n_processes
+    background = np.full(
+        k_procs, priors.background_shape / priors.background_rate)
+    totals = events.events_per_process()
+    background = np.maximum(background,
+                            0.5 * totals / max(events.n_bins, 1))
+    weights = np.full((k_procs, k_procs),
+                      priors.weight_shape / priors.weight_rate)
+    buckets = np.full((k_procs, k_procs, basis.n_buckets),
+                      1.0 / basis.n_buckets)
+    return background, weights, buckets
 
 
 def sample_parent_attributions(structure: ParentStructure,
@@ -109,7 +126,7 @@ def reference_fit_gibbs(events, max_lag, basis=None, priors=None,
     basis = basis or LogBinnedLagBasis(max_lag)
     k_procs = events.n_processes
     structure = ParentStructure(events, basis)
-    background, weights, buckets = _initial_state(events, basis, priors)
+    background, weights, buckets = initial_state(events, basis, priors)
 
     kept_bg, kept_w, kept_buckets = [], [], []
     for sweep in range(n_iterations):

@@ -82,16 +82,17 @@ class TestEstimatorAgreement:
 
     def test_shapes(self, comparison):
         assert comparison.gibbs.shape == (6, 8, 8)
-        assert comparison.em.shape == (6, 8, 8)
         assert comparison.continuous.shape == (6, 8, 8)
 
     def test_gibbs_em_agree(self, comparison):
-        # The structural signal (which cells are large) must agree; a
-        # baseline offset remains because Gibbs reports the posterior
-        # mean (prior-shrunk > 0) while EM reports the MAP mode (0 for
-        # cells with no attributed events).
-        assert comparison.correlation("gibbs", "em") > 0.5
-        assert comparison.mean_absolute_difference("gibbs", "em") < 0.08
+        # Discrete-time Gibbs and continuous-time EM model the lags
+        # differently (per-bucket PMF vs one exponential decay), so they
+        # agree on the corpus-mean matrix (Figure 10's quantity), not
+        # cell by cell on every sparse URL.
+        assert comparison.mean_matrix_correlation("gibbs",
+                                                  "continuous") > 0.4
+        assert comparison.mean_absolute_difference("gibbs",
+                                                   "continuous") < 0.1
 
     def test_continuous_nonnegative(self, comparison):
         assert np.all(comparison.continuous >= 0)
@@ -99,6 +100,5 @@ class TestEstimatorAgreement:
     def test_correlation_handles_constant(self):
         flat = EstimatorComparison(
             gibbs=np.zeros((2, 8, 8)),
-            em=np.zeros((2, 8, 8)),
             continuous=np.zeros((2, 8, 8)))
-        assert flat.correlation("gibbs", "em") == 0.0
+        assert flat.correlation("gibbs", "continuous") == 0.0

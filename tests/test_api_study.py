@@ -147,11 +147,8 @@ class TestStageKeys:
         for name in a.stage_names():
             assert a.stage_key(name) != b.stage_key(name)
 
-    def test_method_and_max_urls_change_fit_key(self):
-        base = Study(seed=3)
-        assert base.stage_key("fits") != Study(
-            seed=3, method="em").stage_key("fits")
-        assert base.stage_key("fits") != Study(
+    def test_max_urls_changes_fit_key(self):
+        assert Study(seed=3).stage_key("fits") != Study(
             seed=3, max_urls=10).stage_key("fits")
 
     def test_unseeded_fit_never_collides(self):
@@ -171,8 +168,6 @@ class TestStageKeys:
             Study(seed=3).table(12)
         with pytest.raises(ValueError):
             Study(WorldConfig(seed=1), seed=2)
-        with pytest.raises(ValueError):
-            Study(seed=3, method="mcmc")
 
 
 class TestWarmCache:

@@ -23,12 +23,11 @@ from repro.core.hawkes.batched import (
     fit_gibbs_batched,
     split_by_candidates,
 )
-from repro.core.hawkes.inference import Priors, fit_gibbs
+from repro.core.hawkes.inference import fit_gibbs
 from repro.core.influence import cascade_to_events, fit_corpus
 from repro.obs import MetricsRegistry, set_registry, start_trace, stop_trace
-from repro.parallel import spawn_task_seeds
 
-from test_batched_equivalence import build_mixed_corpus
+from test_batched_equivalence import build_mixed_corpus, reference_corpus
 
 K = 3
 MAX_LAG = 30
@@ -146,26 +145,6 @@ class TestCandidateBudget:
         counts = candidate_counts(events_batch, MAX_LAG)
         assert counts.tolist() == [
             len(ParentStructure(ev, BASIS).flat_src) for ev in events_batch]
-
-
-def reference_corpus(corpus, config, seed):
-    """The per-URL Gibbs corpus fit fit_corpus replaced."""
-    basis = LogBinnedLagBasis(config.max_lag_bins)
-    priors = Priors(background_shape=config.background_shape,
-                    background_rate=config.background_rate,
-                    weight_shape=config.weight_shape,
-                    weight_rate=config.weight_rate,
-                    impulse_concentration=config.impulse_concentration)
-    fits = []
-    for cascade, task_seed in zip(corpus,
-                                  spawn_task_seeds(seed, len(corpus))):
-        events = cascade_to_events(cascade, delta_t=config.delta_t)
-        fits.append(reference_fit_gibbs(
-            events, config.max_lag_bins, basis=basis, priors=priors,
-            n_iterations=config.gibbs_iterations,
-            burn_in=config.gibbs_burn_in,
-            rng=np.random.default_rng(task_seed)))
-    return fits
 
 
 def assert_corpus_equal(result, refs):

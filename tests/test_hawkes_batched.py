@@ -1,24 +1,20 @@
-"""Unit tests for batched EM (packing + fit semantics).
+"""Unit tests for batched fits: packing, candidate layout and results.
 
-Batched EM is the only EM program; every cascade's result must equal
-fitting it alone (``fit_em``, its one-cascade call) bit for bit.
+The bit-for-bit match of batched Gibbs with the frozen per-URL sweep is
+pinned by ``tests/test_batched_gibbs.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.events import bin_timestamps
-from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
+from repro.core.hawkes.basis import LogBinnedLagBasis
 from repro.core.hawkes.batched import (
     BatchedParentStructure,
     PackedCascades,
-    fit_em_batched,
+    fit_gibbs_batched,
 )
-from repro.core.hawkes.inference import FitResult, Priors, fit_em
 from repro.core.hawkes.kernels import segment_ranges
-from repro.obs import MetricsRegistry, set_registry
-
-from test_hawkes_kernels import naive_fit_em
 
 K = 4
 MAX_LAG = 48
@@ -34,11 +30,7 @@ def make_events(rng, n_events, n_procs=K, horizon=4000.0):
 def events_batch():
     rng = np.random.default_rng(42)
     batch = [make_events(rng, int(rng.integers(1, 25))) for _ in range(8)]
-    # A cascade whose last entry has 16 candidate parents, placed where
-    # the half split of the composition test ends a batch.  NumPy sums a
-    # reduceat segment as a[0] + pairwise(a[1:]), in blocks of 8, so a
-    # trailing 0.0 pad regroups a 16-candidate segment: its bits depend
-    # on whether the cascade carries its own pad.
+    # A cascade whose last entry has 16 candidate parents.
     batch.insert(4, bin_timestamps(60.0 * np.arange(17), np.arange(17) % K,
                                    n_processes=K, delta_t=60.0))
     # Degenerate shapes the corpus actually contains: a lone event and
@@ -47,22 +39,6 @@ def events_batch():
     batch.append(bin_timestamps([0.0, 120.0, 180.0], [2, 2, 2],
                                 n_processes=K, delta_t=60.0))
     return batch
-
-
-def naive_result(events, **kwargs):
-    """The frozen per-event EM loops' fit of one cascade."""
-    params, log_likelihood, n_iterations = naive_fit_em(
-        events, MAX_LAG, **kwargs)
-    return FitResult(params=params, log_likelihood=log_likelihood,
-                     n_iterations=n_iterations)
-
-
-def assert_fit_equal(got, ref):
-    assert np.array_equal(got.params.background, ref.params.background)
-    assert np.array_equal(got.params.weights, ref.params.weights)
-    assert np.array_equal(got.params.impulse, ref.params.impulse)
-    assert got.log_likelihood == ref.log_likelihood
-    assert got.n_iterations == ref.n_iterations
 
 
 class TestPackedCascades:
@@ -136,91 +112,15 @@ class TestBatchedParentStructure:
         assert cursor == len(batched.flat_src)
 
 
-class TestFitEmBatched:
-    def test_fixed_iterations_near_bit_identical(self, events_batch):
-        # tol=0 removes early stopping: every cascade runs exactly
-        # max_iterations sweeps, and each is bit-identical to the frozen
-        # per-event EM loops.
-        basis = LogBinnedLagBasis(MAX_LAG)
-        batch = fit_em_batched(events_batch, MAX_LAG, basis=basis,
-                               max_iterations=20, tol=0.0)
-        for i, ev in enumerate(events_batch):
-            assert_fit_equal(batch.fit_result(i), naive_result(
-                ev, basis=basis, max_iterations=20, tol=0.0))
-        assert np.all(batch.n_iterations == 20)
+def fit_batch(events_batch, **kwargs):
+    rngs = [np.random.default_rng(c) for c in range(len(events_batch))]
+    return fit_gibbs_batched(events_batch, MAX_LAG, rngs, n_iterations=12,
+                             burn_in=4, **kwargs)
 
-    def test_default_tol_matches_per_url(self, events_batch):
-        basis = LogBinnedLagBasis(MAX_LAG)
-        batch = fit_em_batched(events_batch, MAX_LAG, basis=basis)
-        for i, ev in enumerate(events_batch):
-            assert_fit_equal(batch.fit_result(i),
-                             fit_em(ev, MAX_LAG, basis=basis))
 
-    def test_batch_composition_is_bit_identical(self, events_batch):
-        # Cascades never interact inside a batch, so any split of the
-        # same cascades produces the same bits.
-        basis = LogBinnedLagBasis(MAX_LAG)
-        full = fit_em_batched(events_batch, MAX_LAG, basis=basis)
-        half = len(events_batch) // 2
-        first = fit_em_batched(events_batch[:half], MAX_LAG, basis=basis)
-        rest = fit_em_batched(events_batch[half:], MAX_LAG, basis=basis)
-        merged_w = np.concatenate([first.weights, rest.weights])
-        merged_bg = np.concatenate([first.background, rest.background])
-        merged_ll = np.concatenate([first.log_likelihood,
-                                    rest.log_likelihood])
-        assert np.array_equal(full.weights, merged_w)
-        assert np.array_equal(full.background, merged_bg)
-        assert np.array_equal(full.log_likelihood, merged_ll)
-        assert np.array_equal(
-            full.n_iterations,
-            np.concatenate([first.n_iterations, rest.n_iterations]))
-        assert np.array_equal(full.bucket_pmf, np.concatenate(
-            [first.bucket_pmf, rest.bucket_pmf]))
-
-    def test_singleton_batch_matches_fit_em(self):
-        ev = bin_timestamps([0.0, 70.0, 200.0, 260.0], [0, 1, 0, 2],
-                            n_processes=K, delta_t=60.0)
-        basis = LogBinnedLagBasis(MAX_LAG)
-        batch = fit_em_batched([ev], MAX_LAG, basis=basis)
-        assert_fit_equal(batch.fit_result(0), naive_result(ev, basis=basis))
-
-    @pytest.mark.parametrize("basis_name", ["log-binned", "dirichlet"])
-    def test_bit_identical_to_naive_em_with_priors(self, events_batch,
-                                                   basis_name):
-        basis = (LogBinnedLagBasis(MAX_LAG, 6) if basis_name == "log-binned"
-                 else DirichletLagBasis(MAX_LAG))
-        priors = Priors(background_rate=50.0, weight_rate=4.0,
-                        impulse_concentration=2.0)
-        batch = fit_em_batched(events_batch, MAX_LAG, basis=basis,
-                               priors=priors, max_iterations=30)
-        for i, ev in enumerate(events_batch):
-            assert_fit_equal(batch.fit_result(i), naive_result(
-                ev, basis=basis, priors=priors, max_iterations=30))
-
-    def test_metrics_observe_each_cascade(self, events_batch):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            batch = fit_em_batched(events_batch, MAX_LAG)
-        finally:
-            set_registry(previous)
-        families = registry.snapshot()["metrics"]
-
-        def samples(name):
-            return families[name]["samples"]
-
-        (total,) = samples("repro_fit_total")
-        assert total["labels"] == {"method": "em"}
-        assert total["value"] == len(events_batch)
-        (iterations,) = samples("repro_fit_em_iterations")
-        assert iterations["count"] == len(events_batch)
-        assert iterations["sum"] == batch.n_iterations.sum()
-        (deltas,) = samples("repro_fit_em_convergence_delta")
-        # A cascade stopped after one sweep has no finite delta.
-        assert deltas["count"] == int((batch.n_iterations > 1).sum())
-
+class TestFitGibbsBatched:
     def test_fit_result_expands_valid_params(self, events_batch):
-        batch = fit_em_batched(events_batch, MAX_LAG)
+        batch = fit_batch(events_batch)
         result = batch.fit_result(0)
         k = events_batch[0].n_processes
         assert result.params.background.shape == (k,)
@@ -228,15 +128,15 @@ class TestFitEmBatched:
         assert result.params.impulse.shape == (k, k, MAX_LAG)
         np.testing.assert_allclose(result.params.impulse.sum(axis=2), 1.0)
         assert np.isfinite(result.log_likelihood)
+        assert result.weight_samples.shape == (8, k, k)
 
     def test_basis_max_lag_mismatch_rejected(self, events_batch):
         with pytest.raises(ValueError):
-            fit_em_batched(events_batch, MAX_LAG,
-                           basis=LogBinnedLagBasis(MAX_LAG + 1))
+            fit_batch(events_batch, basis=LogBinnedLagBasis(MAX_LAG + 1))
 
     def test_pmfs_stay_normalized(self, events_batch):
-        batch = fit_em_batched(events_batch, MAX_LAG)
+        batch = fit_batch(events_batch)
         np.testing.assert_allclose(batch.bucket_pmf.sum(axis=3), 1.0)
         assert np.all(batch.background > 0)
         assert np.all(batch.weights >= 0)
-        assert np.all(batch.n_iterations >= 1)
+        assert batch.n_iterations == 12

@@ -1,11 +1,11 @@
-"""Tests for Gibbs and EM inference, including parameter recovery."""
+"""Tests for Gibbs inference, including parameter recovery."""
 
 import numpy as np
 import pytest
 
 from repro.core.events import DiscreteEvents
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
-from repro.core.hawkes.inference import Priors, fit_em, fit_gibbs
+from repro.core.hawkes.inference import Priors, fit_gibbs
 from repro.core.hawkes.model import HawkesParams
 from repro.core.hawkes.simulation import simulate_branching
 
@@ -134,56 +134,22 @@ class TestGibbs:
         assert np.allclose(a.background, b.background)
 
 
-class TestEm:
-    def test_recovers_weights(self, simulated):
-        params, events = simulated
-        result = fit_em(events, params.max_lag)
-        for k in range(2):
-            assert result.weights[k, k] == pytest.approx(
-                params.weights[k, k], rel=0.4)
-
-    def test_monotone_convergence_reported(self, simulated):
-        params, events = simulated
-        result = fit_em(events, params.max_lag, max_iterations=100)
-        assert result.n_iterations <= 100
-        assert np.isfinite(result.log_likelihood)
-
-    def test_agrees_with_gibbs(self, simulated):
-        params, events = simulated
-        em = fit_em(events, params.max_lag)
-        gibbs = fit_gibbs(events, params.max_lag, n_iterations=80,
-                          burn_in=30, rng=np.random.default_rng(11))
-        assert np.allclose(em.weights, gibbs.weights, atol=0.08)
-        assert np.allclose(em.background, gibbs.background,
-                           rtol=0.6, atol=0.004)
-
-    def test_em_beats_null_model(self, simulated):
-        from repro.core.hawkes.model import discrete_log_likelihood
-        params, events = simulated
-        result = fit_em(events, params.max_lag)
-        null = HawkesParams(
-            background=events.events_per_process() / events.n_bins,
-            weights=np.zeros((2, 2)),
-            impulse=np.tile(np.full(20, 0.05), (2, 2, 1)))
-        assert result.log_likelihood > discrete_log_likelihood(null, events)
-
-    def test_empty_events(self):
-        events = DiscreteEvents.from_pairs([], n_bins=500, n_processes=3)
-        result = fit_em(events, 10)
-        assert result.params.n_processes == 3
-        assert np.all(result.weights >= 0)
-
-
 class TestPriorInfluence:
     def test_tighter_weight_prior_shrinks_estimates(self, simulated):
         _, events = simulated
-        loose = fit_em(events, 20, priors=Priors(weight_rate=1.0))
-        tight = fit_em(events, 20, priors=Priors(weight_rate=500.0))
-        assert tight.weights.sum() < loose.weights.sum()
+
+        def fit(weight_rate):
+            return fit_gibbs(events, 20,
+                             priors=Priors(weight_rate=weight_rate),
+                             n_iterations=20, burn_in=5,
+                             rng=np.random.default_rng(12))
+
+        assert fit(500.0).weights.sum() < fit(1.0).weights.sum()
 
     def test_background_prior_dominates_empty_data(self):
         events = DiscreteEvents.from_pairs([], n_bins=100, n_processes=1)
         priors = Priors(background_shape=2.0, background_rate=100.0)
-        result = fit_em(events, 10, priors=priors)
-        # MAP = (shape - 1 + 0) / (rate + T) = 1/200
-        assert result.background[0] == pytest.approx(1 / 200, rel=1e-6)
+        result = fit_gibbs(events, 10, priors=priors, n_iterations=400,
+                           burn_in=10, rng=np.random.default_rng(13))
+        # Posterior mean = (shape + 0) / (rate + T) = 2/200
+        assert result.background[0] == pytest.approx(2 / 200, rel=0.15)

@@ -4,11 +4,10 @@ The naive reference implementations below are straight transcriptions of
 the historical per-event Python loops the vectorized kernels replaced.
 They pin down two contracts:
 
-* **EM is bit-identical**: the batched EM program (``fit_em`` is its
-  one-cascade call) must reproduce the historical EM output exactly
-  (``np.array_equal``, not ``allclose``) — the rewrite is a pure
-  algebraic reorganization.  ``naive_fit_em`` is the one frozen EM
-  reference.
+* **The likelihood kernels are bit-identical**: rates, rate integrals,
+  the exact lag CDF and the log-likelihood reproduce the naive loops
+  exactly (``np.array_equal``, not ``allclose``) — the rewrite is a
+  pure algebraic reorganization.
 * **Gibbs is distributionally equivalent**: the segmented attribution
   sampler draws from the same conditional law as the historical
   per-event ``multinomial`` sampler, so posterior means agree across
@@ -24,12 +23,7 @@ from repro.core.events import DiscreteEvents
 from repro.core.hawkes import kernels
 from repro.core.hawkes.basis import DirichletLagBasis, LogBinnedLagBasis
 from repro.core.hawkes.batched import BatchedParentStructure, PackedCascades
-from repro.core.hawkes.inference import (
-    Priors,
-    _initial_state,
-    fit_em,
-    fit_gibbs,
-)
+from repro.core.hawkes.inference import Priors, fit_gibbs
 from repro.core.hawkes.model import (
     HawkesParams,
     discrete_log_likelihood,
@@ -37,7 +31,7 @@ from repro.core.hawkes.model import (
 )
 from repro.core.hawkes.simulation import simulate_branching
 
-from gibbs_reference import sample_parent_attributions
+from gibbs_reference import initial_state, sample_parent_attributions
 from parent_reference import ParentStructure
 
 
@@ -155,72 +149,6 @@ def naive_log_likelihood(params, events):
     return log_term - integral
 
 
-def naive_fit_em(events, max_lag, basis=None, priors=None,
-                 max_iterations=200, tol=1e-6):
-    """Transcription of the historical EM fitter (per-event loop kernels)."""
-    priors = priors or Priors()
-    basis = basis or LogBinnedLagBasis(max_lag)
-    k_procs = events.n_processes
-    structure = NaiveParentStructure(events, basis)
-    background, weights, buckets = _initial_state(events, basis, priors)
-
-    previous_ll = -np.inf
-    iterations_run = 0
-    for iteration in range(max_iterations):
-        iterations_run = iteration + 1
-        lag_pmf = basis.expand(buckets)
-        z_background = np.zeros(k_procs)
-        flat_vals = structure.all_candidate_values(weights, lag_pmf)
-        offsets = structure.offsets
-        counts = events.counts.astype(np.float64)
-        dst_all = events.processes.astype(np.int64)
-        if len(flat_vals):
-            seg_sums = np.add.reduceat(
-                np.concatenate([flat_vals, [0.0]]), offsets[:-1])
-            seg_sums[offsets[:-1] == offsets[1:]] = 0.0
-        else:
-            seg_sums = np.zeros(len(events))
-        totals = background[dst_all] + seg_sums
-        safe = totals > 0
-        bg_resp = np.where(safe, counts * background[dst_all]
-                           / np.where(safe, totals, 1.0), counts)
-        np.add.at(z_background, dst_all, bg_resp)
-        z_weight = np.zeros((k_procs, k_procs))
-        z_bucket = np.zeros((k_procs, k_procs, basis.n_buckets))
-        if len(flat_vals):
-            scale = np.where(safe, counts / np.where(safe, totals, 1.0),
-                             0.0)
-            flat_resp = flat_vals * np.repeat(scale, np.diff(offsets))
-            np.add.at(z_weight, (structure.flat_src, structure.flat_dst),
-                      flat_resp)
-            np.add.at(z_bucket,
-                      (structure.flat_src, structure.flat_dst,
-                       structure.flat_bucket), flat_resp)
-        background = ((priors.background_shape - 1.0 + z_background)
-                      / (priors.background_rate + events.n_bins))
-        background = np.maximum(background, 1e-12)
-        lag_cdf = np.cumsum(lag_pmf, axis=2)
-        exposure = structure.exposure(lag_cdf)
-        weights = ((priors.weight_shape - 1.0 + z_weight)
-                   / (priors.weight_rate + exposure))
-        weights = np.maximum(weights, 0.0)
-        conc = priors.impulse_concentration - 1.0 + z_bucket
-        conc = np.maximum(conc, 1e-12)
-        buckets = conc / conc.sum(axis=2, keepdims=True)
-
-        params = HawkesParams(background=background, weights=weights,
-                              impulse=basis.expand(buckets))
-        current_ll = naive_log_likelihood(params, events)
-        if abs(current_ll - previous_ll) < tol * (1 + abs(previous_ll)):
-            previous_ll = current_ll
-            break
-        previous_ll = current_ll
-
-    params = HawkesParams(background=background, weights=weights,
-                          impulse=basis.expand(buckets))
-    return params, previous_ll, iterations_run
-
-
 def naive_fit_gibbs(events, max_lag, basis=None, priors=None,
                     n_iterations=120, burn_in=40, rng=None):
     """Transcription of the historical per-event multinomial sampler."""
@@ -229,7 +157,7 @@ def naive_fit_gibbs(events, max_lag, basis=None, priors=None,
     basis = basis or LogBinnedLagBasis(max_lag)
     k_procs = events.n_processes
     structure = NaiveParentStructure(events, basis)
-    background, weights, buckets = _initial_state(events, basis, priors)
+    background, weights, buckets = initial_state(events, basis, priors)
 
     kept_bg, kept_w, kept_buckets = [], [], []
     for sweep in range(n_iterations):
@@ -293,14 +221,6 @@ def batched_rate_integral(params, events):
     return structure.rate_integrals(
         params.background[None], params.weights[None],
         structure.lag_cdf_rows(params.impulse[None]))[0]
-
-
-def em_exposure(events, basis, buckets):
-    """EM's exposure of one cascade: the exact lag-CDF pass of the
-    batched structure, as ``fit_em`` computes it."""
-    structure = single_structure(events, basis)
-    return structure.exposure_from_cdf(
-        structure.lag_cdf_rows(buckets[None]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +305,28 @@ class TestParentStructureKernel:
         # Event in the final bin has no post-event window at all.
         events = DiscreteEvents.from_pairs(
             [(99, 0)], n_bins=100, n_processes=1)
+        structure = single_structure(events, DirichletLagBasis(10))
         assert np.array_equal(
-            em_exposure(events, DirichletLagBasis(10),
-                        np.full((1, 1, 10), 0.1)),
-            np.zeros((1, 1)))
+            structure.bucket_exposure(np.full((1, 1, 1, 10), 0.1)),
+            np.zeros((1, 1, 1)))
 
     def test_exposure_bit_equal_to_naive(self, window_end_case):
+        # The likelihood's exact lag CDF at each entry's cap is the
+        # per-lag cumsum bit for bit, on both bases and on caps that end
+        # inside a bucket; so is the exposure summed from it.
         events = window_end_case
         for basis in (LogBinnedLagBasis(30, 6), DirichletLagBasis(30)):
+            structure = single_structure(events, basis)
+            assert np.any(structure.v_cap < basis.max_lag)
             naive = NaiveParentStructure(events, basis)
             for seed in range(3):
                 buckets = np.random.default_rng(seed).dirichlet(
                     np.ones(basis.n_buckets), size=(2, 2))
-                cdf = np.cumsum(basis.expand(buckets), axis=2)
-                assert np.array_equal(em_exposure(events, basis, buckets),
+                cdf = np.cumsum(basis.expand(buckets), axis=-1)
+                rows = structure.lag_cdf_rows(buckets[None])
+                assert np.array_equal(
+                    rows, cdf[structure.v_row, :, structure.v_cap - 1])
+                assert np.array_equal(structure.exposure_from_cdf(rows)[0],
                                       naive.exposure(cdf))
 
     def test_zero_count_process_row(self):
@@ -411,7 +339,9 @@ class TestParentStructureKernel:
         assert not np.any(structure.flat_src == 1)
         buckets = np.full((2, 2, 10), 0.1)
         assert np.all(structure.bucket_exposure(buckets)[1] == 0)
-        assert np.all(em_exposure(events, basis, buckets)[1] == 0)
+        packed = single_structure(events, basis)
+        exact = packed.exposure_from_cdf(packed.lag_cdf_rows(buckets[None]))
+        assert np.all(exact[0, 1] == 0)
 
 
 class TestModelKernels:
@@ -475,16 +405,18 @@ class TestKernelCaching:
         params = make_params(max_lag=10)
         events = simulate_branching(params, 800, np.random.default_rng(2))
         cold = len(pickle.dumps(events))
-        fit_em(events, 10, basis=LogBinnedLagBasis(10, 4),
-               max_iterations=3)
+
+        def fit(ev):
+            return fit_gibbs(ev, 10, basis=LogBinnedLagBasis(10, 4),
+                             n_iterations=4, burn_in=1,
+                             rng=np.random.default_rng(6))
+
+        fit(events)
         assert len(pickle.dumps(events)) == cold
         clone = pickle.loads(pickle.dumps(events))
         assert np.array_equal(clone.bins, events.bins)
         # The clone fits to the same bits as the original.
-        assert (fit_em(clone, 10, basis=LogBinnedLagBasis(10, 4),
-                       max_iterations=2).log_likelihood
-                == fit_em(events, 10, basis=LogBinnedLagBasis(10, 4),
-                          max_iterations=2).log_likelihood)
+        assert fit(clone).log_likelihood == fit(events).log_likelihood
 
     def test_add_rates_chunking_preserves_bit_identity(
             self, medium_case, monkeypatch):
@@ -600,33 +532,6 @@ class TestBucketSpaceKernels:
 # ---------------------------------------------------------------------------
 # Fitter-level golden tests
 # ---------------------------------------------------------------------------
-
-class TestEmGolden:
-    def test_bit_identical_to_historical_em(self, medium_case):
-        """The vectorized EM is a pure algebraic reorganization."""
-        _, events = medium_case
-        basis = LogBinnedLagBasis(30, 6)
-        fast = fit_em(events, 30, basis=basis, max_iterations=40)
-        naive_params, naive_ll, naive_iters = naive_fit_em(
-            events, 30, basis=basis, max_iterations=40)
-        assert fast.n_iterations == naive_iters
-        assert fast.log_likelihood == naive_ll
-        assert np.array_equal(fast.background, naive_params.background)
-        assert np.array_equal(fast.weights, naive_params.weights)
-        assert np.array_equal(fast.params.impulse, naive_params.impulse)
-
-    def test_bit_identical_with_nondefault_priors(self, medium_case):
-        _, events = medium_case
-        basis = DirichletLagBasis(30)
-        priors = Priors(background_rate=50.0, weight_rate=4.0,
-                        impulse_concentration=2.0)
-        fast = fit_em(events, 30, basis=basis, priors=priors,
-                      max_iterations=12)
-        naive_params, naive_ll, _ = naive_fit_em(
-            events, 30, basis=basis, priors=priors, max_iterations=12)
-        assert fast.log_likelihood == naive_ll
-        assert np.array_equal(fast.weights, naive_params.weights)
-
 
 class TestGibbsEquivalence:
     def test_posterior_means_match_historical_sampler(self, medium_case):

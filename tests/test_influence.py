@@ -162,17 +162,6 @@ class TestFitCorpusAndAggregation:
         assert summary.events[ALT][twitter_idx] == 12  # 2 per URL
         assert np.all(summary.mean_background[ALT] >= 0)
 
-    def test_em_method(self):
-        cascades = [triple_cascade(f"u{i}", t0=float(i) * 1e5)
-                    for i in range(3)]
-        result = fit_corpus(cascades, HawkesConfig(), method="em")
-        assert len(result.fits) == 3
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            fit_corpus([triple_cascade("u")], HawkesConfig(),
-                       method="variational")
-
     def test_aggregate_requires_both_categories(self):
         result = fit_corpus([triple_cascade("u", category=ALT)],
                             HawkesConfig(gibbs_iterations=10,
@@ -203,7 +192,7 @@ class TestBackgroundRatePresenceConditioning:
         k = len(HAWKES_PROCESSES)
         pol = HAWKES_PROCESSES.index("/pol/")
         # URL A: /pol/ posted, fitted lambda0 = 0.3.  URL B: /pol/
-        # absent (0 events), EM leaves lambda0 near the prior mean.
+        # absent (0 events), the fit leaves lambda0 near the prior mean.
         bg_a = np.full(k, 0.1)
         bg_a[pol] = 0.3
         counts_a = np.ones(k, dtype=np.int64)

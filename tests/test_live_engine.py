@@ -88,7 +88,7 @@ def test_cascades_match_batch(live_engine, collected):
 
 def test_refitter_runs_on_stream(small_world):
     refitter = WindowedHawkesRefitter(
-        policy=RefitPolicy(every_records=400, max_urls=4, method="em"),
+        policy=RefitPolicy(every_records=400, max_urls=4),
         seed=3)
     engine = LiveEngine(EventBus(stream_sources(small_world)),
                         refitter=refitter, summary_every=0)
@@ -121,7 +121,7 @@ def test_refit_traced_as_one_span_with_identical_result(
 
     def refit():
         refitter = WindowedHawkesRefitter(
-            policy=RefitPolicy(every_records=1, max_urls=3, method="em"),
+            policy=RefitPolicy(every_records=1, max_urls=3),
             seed=3)
         return refitter.maybe_refit(live_engine.cascades,
                                     live_engine.stream_time,
@@ -321,8 +321,7 @@ def test_checkpoint_restore_mid_refit_window(small_world, tmp_path):
     """
     def make_engine(path=None):
         refitter = WindowedHawkesRefitter(
-            policy=RefitPolicy(every_records=500, max_urls=4,
-                               method="em"),
+            policy=RefitPolicy(every_records=500, max_urls=4),
             seed=3)
         return LiveEngine(EventBus(stream_sources(small_world)),
                           refitter=refitter, checkpoint_path=path,

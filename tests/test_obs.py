@@ -20,7 +20,7 @@ from repro.api.serialize import influence_payload, payload_key
 from repro.cli import main as cli_main
 from repro.config import HawkesConfig
 from repro.core.events import DiscreteEvents
-from repro.core.hawkes.inference import fit_em
+from repro.core.hawkes.inference import fit_gibbs
 from repro.core.influence import fit_corpus, select_urls
 from repro.live import EventBus, LiveEngine, dataset_source
 from repro.obs import (
@@ -341,39 +341,37 @@ class TestBitIdentity:
         corpus = select_urls(cascades)[:3]
         config = HawkesConfig(gibbs_iterations=8, gibbs_burn_in=2)
 
-        for method in ("gibbs", "em"):
-            previous = set_registry(NULL_REGISTRY)
-            try:
-                golden = fit_corpus(corpus, config, method=method, rng=5)
-            finally:
-                set_registry(previous)
+        previous = set_registry(NULL_REGISTRY)
+        try:
+            golden = fit_corpus(corpus, config, rng=5)
+        finally:
+            set_registry(previous)
 
-            registry = MetricsRegistry()
-            previous = set_registry(registry)
-            trace = tmp_path / f"trace-{method}.jsonl"
-            start_trace(trace)
-            try:
-                traced = fit_corpus(corpus, config, method=method, rng=5)
-            finally:
-                stop_trace()
-                set_registry(previous)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        trace = tmp_path / "trace.jsonl"
+        start_trace(trace)
+        try:
+            traced = fit_corpus(corpus, config, rng=5)
+        finally:
+            stop_trace()
+            set_registry(previous)
 
-            # Content-hash equality over the full serialized payload:
-            # every background, weight, and likelihood is bit-for-bit
-            # identical.
-            assert payload_key(influence_payload(traced)) == payload_key(
-                influence_payload(golden))
-            for a, b in zip(golden.fits, traced.fits):
-                assert a.log_likelihood == b.log_likelihood
-                assert np.array_equal(a.weights, b.weights)
-            # ... and the instrumented run did record its work.
-            families = registry.snapshot()["metrics"]
-            (total,) = families["repro_fit_total"]["samples"]
-            assert total["labels"] == {"method": method}
-            assert total["value"] == 3
-            trace_names = {json.loads(line)["name"] for line in
-                           trace.read_text().splitlines()}
-            assert "fit_corpus" in trace_names
+        # Content-hash equality over the full serialized payload: every
+        # background, weight, and likelihood is bit-for-bit identical.
+        assert payload_key(influence_payload(traced)) == payload_key(
+            influence_payload(golden))
+        for a, b in zip(golden.fits, traced.fits):
+            assert a.log_likelihood == b.log_likelihood
+            assert np.array_equal(a.weights, b.weights)
+        # ... and the instrumented run did record its work.
+        families = registry.snapshot()["metrics"]
+        (total,) = families["repro_fit_total"]["samples"]
+        assert total["labels"] == {"method": "gibbs"}
+        assert total["value"] == 3
+        trace_names = {json.loads(line)["name"] for line in
+                       trace.read_text().splitlines()}
+        assert "fit_corpus" in trace_names
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +408,8 @@ class TestMetricsEndpoint:
         events = DiscreteEvents.from_pairs(
             [(0, 0), (3, 0), (10, 1), (41, 1), (55, 0)],
             n_bins=100, n_processes=2)
-        fit_em(events, 20, max_iterations=15)
+        fit_gibbs(events, 20, n_iterations=15, burn_in=5,
+                  rng=np.random.default_rng(0))
 
         bus = EventBus([("twitter", dataset_source(collected.twitter))])
         engine = LiveEngine(bus, summary_every=50)
@@ -429,7 +428,7 @@ class TestMetricsEndpoint:
         for family in (
                 "repro_live_ingest_records_per_second",   # live throughput
                 'repro_live_records_total{source="twitter"} 120',
-                "repro_fit_em_iterations_bucket",         # EM iterations
+                "repro_fit_batch_iterations_bucket",      # Gibbs sweeps
                 "repro_store_hit_ratio",                  # cache hit ratio
                 'repro_http_request_seconds_bucket{route=',  # route latency
                 'route="/healthz"',

@@ -2,8 +2,8 @@
 
 The determinism guarantee of :mod:`repro.parallel` is the contract every
 caller (ablation sweeps, live refitter, CLI) builds on, so it is
-enforced here exactly — ``np.array_equal``, not ``allclose`` — for both
-fit methods, worker counts 1/2/4, and adversarial chunk sizes.
+enforced here exactly — ``np.array_equal``, not ``allclose`` — for
+worker counts 1/2/4 and adversarial chunk sizes.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ def build_corpus(n_urls, events_per_url, spacing=1e6):
     return cascades
 
 
-def assert_results_identical(a, b, check_samples):
+def assert_results_identical(a, b):
     assert a.processes == b.processes
     assert len(a.fits) == len(b.fits)
     for fit_a, fit_b in zip(a.fits, b.fits):
@@ -51,15 +51,13 @@ def assert_results_identical(a, b, check_samples):
         assert np.array_equal(fit_a.event_counts, fit_b.event_counts)
         assert fit_a.n_bins == fit_b.n_bins
         assert fit_a.log_likelihood == fit_b.log_likelihood
-        if check_samples:
-            assert fit_a.weight_samples is not None
-            assert fit_a.weight_samples.shape[0] > 0
-            assert np.array_equal(fit_a.weight_samples,
-                                  fit_b.weight_samples)
+        assert fit_a.weight_samples is not None
+        assert fit_a.weight_samples.shape[0] > 0
+        assert np.array_equal(fit_a.weight_samples, fit_b.weight_samples)
 
 
 class TestGoldenEquivalence:
-    """Fixed-corpus exact checks for every (method, n_jobs, chunking)."""
+    """Fixed-corpus exact checks for every (n_jobs, chunking)."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -67,45 +65,30 @@ class TestGoldenEquivalence:
 
     @pytest.fixture(scope="class")
     def serial(self, corpus):
-        return {
-            method: fit_corpus(corpus, FAST, method=method,
-                               rng=np.random.default_rng(77), n_jobs=1,
-                               keep_samples=(method == "gibbs"))
-            for method in ("gibbs", "em")
-        }
+        return fit_corpus(corpus, FAST, rng=np.random.default_rng(77),
+                          n_jobs=1, keep_samples=True)
 
-    @pytest.mark.parametrize("method", ["gibbs", "em"])
     @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_bit_identical_to_serial(self, corpus, serial, method, n_jobs):
-        parallel = fit_corpus(corpus, FAST, method=method,
-                              rng=np.random.default_rng(77), n_jobs=n_jobs,
-                              keep_samples=(method == "gibbs"))
-        assert_results_identical(serial[method], parallel,
-                                 check_samples=(method == "gibbs"))
+    def test_bit_identical_to_serial(self, corpus, serial, n_jobs):
+        parallel = fit_corpus(corpus, FAST, rng=np.random.default_rng(77),
+                              n_jobs=n_jobs, keep_samples=True)
+        assert_results_identical(serial, parallel)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5])
     def test_chunk_size_never_matters(self, corpus, serial, chunk_size):
-        parallel = fit_corpus(corpus, FAST, method="gibbs",
-                              rng=np.random.default_rng(77), n_jobs=2,
-                              chunk_size=chunk_size, keep_samples=True)
-        assert_results_identical(serial["gibbs"], parallel,
-                                 check_samples=True)
+        parallel = fit_corpus(corpus, FAST, rng=np.random.default_rng(77),
+                              n_jobs=2, chunk_size=chunk_size,
+                              keep_samples=True)
+        assert_results_identical(serial, parallel)
 
     def test_int_seed_equals_generator_seed(self, corpus, serial):
-        from_int = fit_corpus(corpus, FAST, method="gibbs", rng=77,
-                              n_jobs=2, keep_samples=True)
-        assert_results_identical(serial["gibbs"], from_int,
-                                 check_samples=True)
-
-    def test_em_never_returns_samples(self, corpus):
-        # EM has no posterior draws; keep_samples must not surface
-        # fit_em's empty placeholder array as if it were a sample set.
-        result = fit_corpus(corpus, FAST, method="em", keep_samples=True)
-        assert all(fit.weight_samples is None for fit in result.fits)
+        from_int = fit_corpus(corpus, FAST, rng=77, n_jobs=2,
+                              keep_samples=True)
+        assert_results_identical(serial, from_int)
 
     def test_progress_reported_in_parallel(self, corpus):
         calls = []
-        fit_corpus(corpus, FAST, method="em", n_jobs=2, chunk_size=2,
+        fit_corpus(corpus, FAST, rng=77, n_jobs=2, chunk_size=2,
                    progress=lambda done, total: calls.append((done, total)))
         assert calls[-1] == (len(corpus), len(corpus))
 
@@ -115,18 +98,14 @@ class TestGoldenEquivalence:
     n_urls=st.integers(min_value=1, max_value=5),
     events_per_url=st.integers(min_value=3, max_value=6),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    method=st.sampled_from(["gibbs", "em"]),
     n_jobs=st.sampled_from([2, 4]),
 )
 def test_property_parallel_equals_serial(n_urls, events_per_url, seed,
-                                         method, n_jobs):
+                                         n_jobs):
     """Property form: any corpus, any seed, any fan-out — same bits."""
     corpus = build_corpus(n_urls, events_per_url)
-    keep = method == "gibbs"
-    serial = fit_corpus(corpus, FAST, method=method,
-                        rng=np.random.default_rng(seed), n_jobs=1,
-                        keep_samples=keep)
-    parallel = fit_corpus(corpus, FAST, method=method,
-                          rng=np.random.default_rng(seed), n_jobs=n_jobs,
-                          chunk_size=1, keep_samples=keep)
-    assert_results_identical(serial, parallel, check_samples=keep)
+    serial = fit_corpus(corpus, FAST, rng=np.random.default_rng(seed),
+                        n_jobs=1, keep_samples=True)
+    parallel = fit_corpus(corpus, FAST, rng=np.random.default_rng(seed),
+                          n_jobs=n_jobs, chunk_size=1, keep_samples=True)
+    assert_results_identical(serial, parallel)

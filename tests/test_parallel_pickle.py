@@ -13,7 +13,7 @@ import pytest
 from repro.config import HawkesConfig
 from repro.core.events import bin_timestamps
 from repro.core.hawkes.basis import LogBinnedLagBasis
-from repro.core.hawkes.inference import Priors, fit_em, fit_gibbs
+from repro.core.hawkes.inference import Priors, fit_gibbs
 from repro.core.influence import (
     InfluenceResult,
     UrlCascade,
@@ -56,9 +56,10 @@ class TestFitResultRoundTrip:
         assert restored.log_likelihood == gibbs_result.log_likelihood
         assert restored.n_iterations == gibbs_result.n_iterations
 
-    def test_em_result(self, events):
-        result = fit_em(events, 60, basis=LogBinnedLagBasis(60),
-                        priors=Priors())
+    def test_result_without_samples(self, events):
+        result = fit_gibbs(events, 60, basis=LogBinnedLagBasis(60),
+                           n_iterations=8, burn_in=3,
+                           rng=np.random.default_rng(1), keep_samples=False)
         restored = roundtrip(result)
         assert np.array_equal(restored.params.weights,
                               result.params.weights)

@@ -59,13 +59,14 @@ class TestParallelChaos:
     def test_fit_corpus_worker_crash_bit_identical(self, cascades,
                                                    tmp_path):
         corpus = select_urls(cascades)[:6]
-        config = HawkesConfig(max_lag_bins=60)
-        baseline = fit_corpus(corpus, config=config, method="em",
+        config = HawkesConfig(max_lag_bins=60, gibbs_iterations=12,
+                              gibbs_burn_in=4)
+        baseline = fit_corpus(corpus, config=config,
                               rng=5, n_jobs=1)
 
         install_worker_faults(tmp_path / "faults", crashes=1,
                               mode="raise")
-        crashed = fit_corpus(corpus, config=config, method="em",
+        crashed = fit_corpus(corpus, config=config,
                              rng=5, n_jobs=2, chunk_size=2)
         clear_worker_faults()
 
@@ -78,13 +79,14 @@ class TestParallelChaos:
     def test_fit_corpus_pool_breakage_bit_identical(self, cascades,
                                                     tmp_path):
         corpus = select_urls(cascades)[:6]
-        config = HawkesConfig(max_lag_bins=60)
-        baseline = fit_corpus(corpus, config=config, method="em",
+        config = HawkesConfig(max_lag_bins=60, gibbs_iterations=12,
+                              gibbs_burn_in=4)
+        baseline = fit_corpus(corpus, config=config,
                               rng=5, n_jobs=1)
 
         install_worker_faults(tmp_path / "faults", crashes=1,
                               mode="exit")
-        survived = fit_corpus(corpus, config=config, method="em",
+        survived = fit_corpus(corpus, config=config,
                               rng=5, n_jobs=2, chunk_size=2)
         clear_worker_faults()
 

@@ -55,14 +55,17 @@ class TestRegistry:
 
     def test_get_by_name_and_id(self):
         by_name = get_scenario("gab")
-        assert get_scenario("gab@v1") is by_name
+        assert get_scenario("gab@v2") is by_name
         assert get_scenario(by_name) is by_name  # pass-through
-        assert by_name.scenario_id == "gab@v1"
+        assert by_name.scenario_id == "gab@v2"
         assert by_name.k == 4
 
     def test_get_version_mismatch(self):
-        with pytest.raises(KeyError, match="gab@v1"):
-            get_scenario("gab@v9")
+        # gab@v1 was fitted by EM; asking for it must fail, not quietly
+        # return the Gibbs-fitted v2.
+        for stale in ("gab@v1", "gab@v9"):
+            with pytest.raises(KeyError, match="gab@v2"):
+                get_scenario(stale)
 
     def test_get_unknown_lists_known(self):
         with pytest.raises(KeyError, match="web-centipede"):
@@ -87,7 +90,7 @@ class TestRegistry:
         gab = next(s for s in payload["scenarios"] if s["name"] == "gab")
         assert gab["k"] == 4
         assert gab["processes"] == ["Reddit", "/pol/", "Twitter", "Gab"]
-        assert gab["id"] == "gab@v1"
+        assert gab["id"] == "gab@v2"
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +102,13 @@ class TestWebCentipedeGolden:
         scenario = get_scenario("web-centipede")
         assert scenario.world == WorldConfig()
         assert scenario.hawkes == HawkesConfig()
-        assert scenario.method == "gibbs"
         assert scenario.ecosystem is PAPER_ECOSYSTEM
         assert scenario.ecosystem.processes == HAWKES_PROCESSES
 
     def test_fits_identical_to_bare_study(self, collected):
-        base = Study.from_data(collected, hawkes=FAST, method="em",
-                               max_urls=10)
+        base = Study.from_data(collected, hawkes=FAST, max_urls=10)
         via = Study.from_data(collected, scenario="web-centipede",
-                              hawkes=FAST, method="em", max_urls=10)
+                              hawkes=FAST, max_urls=10)
         assert via.ecosystem is PAPER_ECOSYSTEM
         assert (influence_payload(via.influence())
                 == influence_payload(base.influence()))
@@ -115,9 +116,9 @@ class TestWebCentipedeGolden:
                 == via.table(10).to_payload())
 
     def test_scenario_key_isolated_from_legacy_keys(self, collected):
-        base = Study.from_data(collected, hawkes=FAST, method="em")
+        base = Study.from_data(collected, hawkes=FAST)
         via = Study.from_data(collected, scenario="web-centipede",
-                              hawkes=FAST, method="em")
+                              hawkes=FAST)
         # Bare sessions keep their legacy keys (no scenario entry at
         # all), while presets cache under their own key space.
         assert "scenario" not in base._world_params()
@@ -282,7 +283,6 @@ class TestGabEndToEnd:
         # eight processes do not apply; every other claim runs cleanly.
         study = Study(scenario=gab_scenario, max_urls=8,
                       store=gab_study.store)
-        assert study.method == "em"
         results = run_claims(study)
         processes = set(study.ecosystem.processes)
         for result in results:
@@ -376,8 +376,7 @@ class TestGabLive:
 
     def test_windowed_refit_is_4x4(self, engine, gab_scenario):
         refitter = WindowedHawkesRefitter(
-            policy=RefitPolicy(max_urls=8, method="em",
-                               window_seconds=1e10),
+            policy=RefitPolicy(max_urls=8, window_seconds=1e10),
             config=FAST,
             ecosystem=gab_scenario.ecosystem)
         now = engine.stream_time + refitter.policy.quiet_seconds + 1
@@ -410,7 +409,7 @@ class TestScenariosCli:
         from repro.cli import main
         assert main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out
-        assert "gab@v1" in out and "K=4" in out
+        assert "gab@v2" in out and "K=4" in out
         assert "web-centipede@v1" in out
 
     def test_unknown_scenario_fails_cleanly(self, capsys):
